@@ -22,9 +22,9 @@ def entry() -> Any:
     from rayproj.pipelines.flagship import run_flagship
 
     ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet")
-    # concurrency=None → elastic stateless tasks with the per-worker
-    # stage cache (flagship.py:117-125): scales with the cluster
-    # instead of capping at a fixed actor count
+    # elastic stateless tasks with the per-worker stage cache
+    # (flagship.cached_stage): scales with the cluster instead of
+    # capping at a fixed actor count
     out = run_flagship(ds, key_col="doc_id", lang_col="lang",
                        batch_size=4096)
     return out

@@ -80,60 +80,11 @@ def _materialized_input(n_target: int):
     return ds.materialize()
 
 
-def _headline_over(pages):
-    """Flagship tile-stats over a (materialized) input dataset: fused
-    kernel chain + per-block tile partial (FlagshipStage.tile_partial —
-    full per-row work, only the tile array materialized). The merge is
-    a streaming driver-side dense accumulate: zoom-8 tile ids are
-    bounded (< 2^16), each block's partial has unique tiles, so
-    ``acc[tiles] += counts`` per block (65k-slot int64 vector, ~50 µs)
-    overlapped with execution via iter_batches. A second map_batches
-    combine was measured WORSE: Ray Data fuses map chains, so the
-    combiner's coarse batch_size re-batched the kernel stage itself
-    (289 blocks → 73 straggler-bound tasks)."""
-    import numpy as np
-
-    from rayproj.pipelines.flagship import _cached_stage
-
-    kw = {"key_col": "doc_id", "lang_col": "lang"}
-    key = tuple(sorted(kw.items()))
-    zoom = 8  # FlagshipStage default; tile ids < (1 << zoom)**2
-
-    def stage(t: pa.Table) -> pa.Table:
-        return _cached_stage(key, kw).tile_partial(t)
-
-    import pyarrow as pa
-
-    import ray
-
-    partials = pages.map_batches(stage, batch_format="pyarrow", batch_size=None)
-    n = np.int64(1) << zoom
-    acc = np.zeros(int(n) * int(n), dtype=np.int64)
-    # per-block partials are ~400 KB; STREAM ref bundles as the map
-    # stage produces them and accumulate (~50 µs per block) overlapped
-    # with execution — no extra operator (a second map_batches combine
-    # fuses with the kernel stage and re-batches it), and unlike
-    # to_arrow_refs there is no post-drain merge phase: the dense
-    # accumulate rides along while all cores are still busy, so the
-    # run's tail is just the last task, not last-task + 512 gets.
-    # iter_internal_ref_bundles is a plain generator (no prefetch
-    # thread, safe across repeated runs + ray.shutdown when drained).
-    for bundle in partials.iter_internal_ref_bundles():
-        for b in ray.get(list(bundle.block_refs)):
-            t = b.column("tile").to_numpy()
-            # tile_id packs zoom<<58|x<<29|y — densify to x*n+y for
-            # the accumulator; unbuffered add is correct with dup tiles
-            dense = ((t >> np.int64(29)) & (n - 1)) * n + (t & (n - 1))
-            np.add.at(acc, dense, b.column("n_partial").to_numpy())
-    dense_hit = np.flatnonzero(acc)
-    tiles = ((np.int64(zoom) << np.int64(58))
-             | ((dense_hit // n) << np.int64(29)) | (dense_hit % n))
-    import pandas as pd
-
-    return pd.DataFrame({"tile": tiles, "n_partial": acc[dense_hit]})
-
-
 def run_headline() -> dict:
+    """Flagship tile-stats over the materialized input: the shipped
+    run_flagship stage, then tile_stats."""
+    from rayproj.pipelines.flagship import run_flagship, tile_stats
+
     # Input materialized once, untimed (fixture cost); the first timed
     # run is still reported as cold_seconds (worker import + stage
     # cache build + plasma page-in on this lazily-paging sandbox), the
@@ -144,7 +95,7 @@ def run_headline() -> dict:
     n_tiles = 0
     for _ in range(3):
         t0 = time.perf_counter()
-        stats = _headline_over(pages)
+        stats = tile_stats(run_flagship(pages, key_col="doc_id", lang_col="lang"))
         runs.append(time.perf_counter() - t0)
         n_tiles = int(len(stats))
     elapsed = min(runs)
@@ -273,14 +224,10 @@ def run_queries() -> dict:
     the min is comparable round-over-round)."""
     from rayproj.pipelines import queries as q
 
-    # per-operator timings use the UNDERLYING query functions (several
-    # driver keys were consolidated into tag-union rows in round 5; the
-    # bench keeps timing the split operators so numbers stay comparable
-    # round-over-round)
     fns = {
         "merc_fwd": q.q_merc_fwd, "datum_hop_cs2cs": q.q_datum_hop,
-        "hgridshift": q.q_hgridshift, "tile_stats": q.q_tile_stats,
-        "pip_assign": q.q_pip_assign, "knn_anchors": q.q_knn,
+        "grid_shift": q.QUERIES["grid_shift"], "tile_stats": q.q_tile_stats,
+        "spatial_assign": q.QUERIES["spatial_assign"], "knn_anchors": q.q_knn,
         "agg_lineitem": q.q_agg_lineitem, "dedup_exact": q.q_dedup_exact,
         "ann_cosine": q.q_ann_cosine, "events_sessions": q.q_events_sessions,
         "minhash_lsh": q.q_minhash_lsh, "pages_pipeline": q.q_pages_pipeline,
@@ -522,44 +469,21 @@ def _ensure_sf1() -> int:
 
 def run_sf1_streaming() -> dict:
     """STREAMING evidence at sf1 scale (round-4 verdict task 8): the
-    flagship tile chain + a text-token partial run over the parquet-
-    backed sf1 documents WITHOUT materializing — read_parquet streams
-    blocks through one fused map stage into bounded per-block partials.
-    A sampler thread records peak object-store usage during the timed
-    run; peak << decompressed input bytes is the direct evidence the
-    pipeline streams instead of materializing."""
+    shipped flagship stage + tile_stats over the parquet-backed sf1
+    documents WITHOUT materializing — read_parquet streams blocks, the
+    fat text column rides through the stage untouched, and tile_stats
+    reduces each block to a bounded partial. A sampler thread records
+    peak object-store usage during the timed run; peak << decompressed
+    input bytes is the direct evidence the pipeline streams instead of
+    materializing."""
     import threading
 
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
-    from rayproj.pipelines.flagship import _cached_stage
+    from rayproj.pipelines.flagship import run_flagship, tile_stats
 
     disk_bytes = _ensure_sf1()
-    kw = {"key_col": "doc_id", "lang_col": "lang"}
-    key = tuple(sorted(kw.items()))
-
-    def fused(t: pa.Table) -> pa.Table:
-        # full flagship per-row work on (doc_id, lang) + a vectorized
-        # token-count partial over the fat text column, ONE output row
-        # per (block, tile) + the block's token sum riding along
-        part = _cached_stage(key, kw).tile_partial(
-            t.select(["doc_id", "lang"]))
-        toks = pc.sum(pc.list_value_length(
-            pc.split_pattern(t.column("text"), " "))).as_py() or 0
-        if len(part) == 0:
-            # a block whose rows all fell outside the tile stage still
-            # contributes its token sum — emit a carrier row so the
-            # partial is never silently dropped
-            part = pa.table({c.name: pa.nulls(1, type=c.type)
-                             for c in part.schema})
-        tok_col = np.zeros(len(part), dtype=np.int64)
-        tok_col[0] = toks
-        return part.append_column("tok_partial", pa.array(tok_col))
-
     total_store = int(ray.cluster_resources().get("object_store_memory", 0))
     peak = {"used": 0}
     stop = threading.Event()
@@ -576,15 +500,8 @@ def run_sf1_streaming() -> dict:
     thr = threading.Thread(target=poll, daemon=True)
     thr.start()
     t0 = time.perf_counter()
-    tiles = 0
-    tokens = 0
     try:
-        for bundle in ds.map_batches(
-                fused, batch_format="pyarrow",
-                batch_size=None).iter_internal_ref_bundles():
-            for b in ray.get(list(bundle.block_refs)):
-                tiles += b.num_rows
-                tokens += int(pc.sum(b.column("tok_partial")).as_py() or 0)
+        stats = tile_stats(run_flagship(ds, key_col="doc_id", lang_col="lang"))
         elapsed = time.perf_counter() - t0
     finally:
         stop.set()
@@ -596,8 +513,7 @@ def run_sf1_streaming() -> dict:
         "replication_factor": SF1_FACTOR,
         "seconds": round(elapsed, 3),
         "docs_per_sec": round(n_rows / elapsed),
-        "total_tokens": tokens,
-        "tile_partial_rows": tiles,
+        "n_tiles": int(len(stats)),
         "input_parquet_bytes": disk_bytes,
         "peak_object_store_bytes": peak["used"],
         "object_store_capacity_bytes": total_store,
@@ -644,7 +560,7 @@ def main() -> None:
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     try:
         headline = run_headline()
-        queries = run_queries()
+        queries = {} if os.environ.get("BENCH_SKIP_QUERIES") else run_queries()
         write_path = None if os.environ.get("BENCH_SKIP_QUERIES") else run_write_path()
         kernels = None if os.environ.get("BENCH_SKIP_QUERIES") else run_kernel_baselines()
         pages_extract = (
@@ -872,7 +788,7 @@ def _steal_pct(s0: tuple, s1: tuple) -> float:
 
 def _kernel_control_worker(args):
     """One control process: run the PRODUCTION kernel (FlagshipStage.
-    tile_partial, the exact per-batch function the headline executes)
+    __call__, the exact per-batch function the headline executes)
     on a private in-heap batch for a fixed wall window. No Ray, no
     object store, no scheduler, no shared state — the only thing P
     copies of this can lose when P grows is what the SILICON takes
@@ -888,11 +804,11 @@ def _kernel_control_worker(args):
     ids = np.arange(seed * n, (seed + 1) * n, dtype=np.int64)
     langs = np.array(["en", "de", "fr"])[ids % 3]
     batch = pa.table({"doc_id": ids, "lang": langs})
-    st.tile_partial(batch)  # warm: polygon index + numpy code paths
+    st(batch)  # warm: polygon index + numpy code paths
     done = 0
     t0 = time.perf_counter()
     while time.perf_counter() - t0 < seconds:
-        st.tile_partial(batch)
+        st(batch)
         done += n
     return done / (time.perf_counter() - t0)
 
@@ -925,7 +841,4 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         scaling()
     else:
-        if os.environ.get("BENCH_SKIP_QUERIES"):
-            run_queries_orig = run_queries
-            run_queries = lambda: {}  # noqa: E731
         main()

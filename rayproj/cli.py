@@ -1066,12 +1066,16 @@ def _tok_lat_first(side_toks) -> bool:
     for t in side_toks:
         m = re.match(r"(EPSG|IGNF|ESRI):(\w+)$", t, re.I)
         if m:
-            try:
-                from .state.projdb import crs_is_lat_first
+            from .state.projdb import crs_is_lat_first
 
+            try:
                 return crs_is_lat_first(m.group(1).upper(), m.group(2))
-            except Exception:
-                return False
+            except FileNotFoundError as e:
+                # guessing lon-first would print a silently wrong
+                # coordinate for lat-first CRSs; main() reports this
+                raise FileNotFoundError(
+                    f"EPSG registry unavailable, axis order of {t} "
+                    f"unknown ({e})") from None
     return False
 
 

@@ -72,10 +72,6 @@ ELLPS_TABLE: dict[str, tuple[str, str]] = {
     "sphere": ("a=6370997.0", "b=6370997.0"),
 }
 
-WGS84_A = 6378137.0
-WGS84_F = 1.0 / 298.257223563
-WGS84_ES = WGS84_F * (2 - WGS84_F)
-
 
 @dataclass
 class Ellipsoid:
@@ -260,7 +256,3 @@ def _shape_from(params: Params, a: float) -> tuple[float, float, float, float, f
             raise ProjError(ERR_ES_LESS_THAN_ZERO)
         return es, 0.0, f, b, 1.0 / f if f else HUGE_VAL
     raise ProjError(ERR_MAJOR_AXIS_NOT_GIVEN, "no shape parameter")
-
-
-def wgs84() -> Ellipsoid:
-    return Ellipsoid(a=WGS84_A, es=WGS84_ES, f=WGS84_F).derive()

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..mathx import adjlon
 from .constants import EPS_LAT, M_HALFPI
-from .ellps import Ellipsoid, wgs84
+from .ellps import Ellipsoid
 from .errors import EINVAL, ERR_INVALID_X_OR_Y, ERR_LAT_OR_LON_EXCEED_LIMIT
 
 # io_units (src/proj_internal.h:172-179)
@@ -383,17 +383,3 @@ class Operation:
         factor = self.ell.one_es if direction == FWD else self.ell.rone_es
         phi = coo.y
         coo.y = np.where(inside, np.arctan(factor * np.tan(phi)), phi)
-
-
-class NoOpKernel(Operation):
-    """Identity kernel; used for latlong/geocent-style marker ops."""
-
-    def _fwd(self, coo: Coords) -> None:
-        pass
-
-    def _inv(self, coo: Coords) -> None:
-        pass
-
-
-def make_wgs84_ellipsoid() -> Ellipsoid:
-    return wgs84()

@@ -1,4 +1,4 @@
-"""Text analysis: token counts, quality scores, language id, fingerprints.
+"""Text analysis: token counts, language id, fingerprints.
 
 Vectorized via pandas string kernels where possible; the per-row parts
 (hashing) use C-speed library calls (zlib.crc32 / hashlib) inside a
@@ -15,12 +15,6 @@ import numpy as np
 import pandas as pd
 
 _WS = re.compile(r"\s+")
-_PUNCT = re.compile(r"[!-/:-@\[-`{-~]")
-_WORD = re.compile(r"[A-Za-z']+")
-
-STOPWORDS = frozenset(
-    "the and of a to in is it that for on as with was at by an be this are from".split()
-)
 
 # tiny per-language trigram anchor profiles (deterministic heuristic —
 # NOT a trained model; ids only need to be stable, not linguistically deep)
@@ -42,35 +36,6 @@ def token_count(texts: pd.Series) -> np.ndarray:
 
 def char_count(texts: pd.Series) -> np.ndarray:
     return texts.fillna("").str.len().to_numpy(dtype=np.int64)
-
-
-def punct_ratio(texts: pd.Series) -> np.ndarray:
-    s = texts.fillna("")
-    total = s.str.len().to_numpy(dtype=np.float64)
-    punct = s.str.count(_PUNCT).to_numpy(dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(total > 0, punct / total, 0.0)
-
-
-def stopword_ratio(texts: pd.Series) -> np.ndarray:
-    def ratio(t: str) -> float:
-        words = _WORD.findall(t.lower())
-        if not words:
-            return 0.0
-        return sum(w in STOPWORDS for w in words) / len(words)
-
-    return texts.fillna("").map(ratio).to_numpy(dtype=np.float64)
-
-
-def quality_score(texts: pd.Series) -> np.ndarray:
-    """Composite [0,1] quality heuristic: length, punctuation, stopwords."""
-    n = char_count(texts).astype(np.float64)
-    len_score = np.clip(n / 1000.0, 0.0, 1.0)
-    p = punct_ratio(texts)
-    punct_score = 1.0 - np.clip(np.abs(p - 0.03) * 10.0, 0.0, 1.0)
-    sw = stopword_ratio(texts)
-    sw_score = np.clip(sw * 4.0, 0.0, 1.0)
-    return 0.4 * len_score + 0.3 * punct_score + 0.3 * sw_score
 
 
 def lang_id(texts: pd.Series) -> np.ndarray:

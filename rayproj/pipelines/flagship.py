@@ -12,6 +12,8 @@ linearly with input blocks. ``text`` bytes ride through untouched
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -35,8 +37,9 @@ CS2CS_PIPELINE = (
 
 
 class FlagshipStage:
-    """One fused per-batch stage (actor-poolable): geolocate, reproject,
-    cell-encode, PIP, tile-assign. Polygon index built once per actor."""
+    """One fused per-batch stage: geolocate, reproject, cell-encode,
+    PIP, tile-assign. ``cached_stage`` keeps one per worker process, so
+    the polygon index builds once per worker."""
 
     def __init__(self, key_col: str = "url", lang_col: str = "lang",
                  cell_level: int = 12, zoom: int = 8,
@@ -65,66 +68,6 @@ class FlagshipStage:
             return pa.concat_tables(parts)
         return self._one(batch)
 
-    def tile_partial(self, batch: pa.Table) -> pa.Table:
-        """Fused kernel + per-batch tile partial aggregate WITHOUT
-        materializing the full output table: only the tile array of
-        each cache-resident sub-chunk is kept, so the stage's memory
-        traffic is the input columns plus one int64 array — the
-        aggregate-consumer deployment shape (bench headline).
-
-        At zoom ≤ 10 the per-chunk partial is a DENSE bincount into a
-        (2^zoom)² accumulator (512 KB at the default zoom 8 — cache-
-        resident) instead of a per-chunk sort + final merge-sort:
-        identical (tile, count) pairs in identical ascending order
-        (tile ids are monotone in the dense x·n+y key), ~3 ms/64k-
-        chunk cheaper. Larger zooms keep the sort path (the dense
-        table would be ≥128 MB at zoom 12)."""
-        n = np.int64(1) << self.zoom
-        dense_ok = self.zoom <= 10
-        acc = np.zeros(int(n) * int(n), dtype=np.int64) if dense_ok else None
-        parts_t: list = []
-        parts_c: list = []
-        for s in range(0, batch.num_rows, self.CHUNK):
-            sub = batch.slice(s, self.CHUNK)
-            lon, lat = self._lonlat(sub)
-            coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-            self.op.trans(FWD, coo)
-            rlon = coo.x * RAD_TO_DEG
-            rlat = coo.y * RAD_TO_DEG
-            cell_id(rlon, rlat, self.cell_level)
-            self.pip.assign(rlon, rlat)
-            tiles = tile_id(rlon, rlat, self.zoom)
-            if dense_ok:
-                dense = ((tiles >> np.int64(29)) & (n - 1)) * n + (tiles & (n - 1))
-                acc += np.bincount(dense, minlength=int(n) * int(n))
-            else:
-                uniq, cnt = np.unique(tiles, return_counts=True)
-                parts_t.append(uniq)
-                parts_c.append(cnt)
-        if dense_ok:
-            hit = np.flatnonzero(acc)
-            tiles_out = ((np.int64(self.zoom) << np.int64(58))
-                         | ((hit // n) << np.int64(29)) | (hit % n))
-            return pa.table({"tile": tiles_out, "n_partial": acc[hit]})
-        # vectorized partial merge (no per-tile Python)
-        allt = np.concatenate(parts_t) if parts_t else np.empty(0, np.int64)
-        allc = np.concatenate(parts_c) if parts_c else np.empty(0, np.int64)
-        uniq, inv = np.unique(allt, return_inverse=True)
-        sums = np.bincount(inv, weights=allc.astype(np.float64)).astype(np.int64)
-        return pa.table({"tile": uniq, "n_partial": sums})
-
-    def _lonlat(self, batch: pa.Table):
-        """(lon, lat) numpy arrays for a batch — integer keys go through
-        geolocate_ids directly (no Arrow append/re-extract round-trip;
-        the per-chunk alloc churn showed up in many-core scaling)."""
-        key = batch.column(self.key_col)
-        if pa.types.is_integer(key.type):
-            from ..stages.geolocate import geolocate_ids
-
-            return geolocate_ids(key.to_numpy())
-        gb = geolocate_batch_arrow(batch, self.key_col, self.lang_col)
-        return gb.column("lon").to_numpy(), gb.column("lat").to_numpy()
-
     def _one(self, batch: pa.Table) -> pa.Table:
         batch = geolocate_batch_arrow(batch, self.key_col, self.lang_col)
         lon = batch.column("lon").to_numpy()
@@ -146,60 +89,41 @@ class FlagshipStage:
         return out
 
 
-_STAGE_CACHE: dict = {}
+@functools.cache
+def cached_stage(kwargs_key: tuple) -> FlagshipStage:
+    """This worker process's FlagshipStage for ``kwargs_key`` (sorted
+    constructor kwargs): the polygon index builds once per worker,
+    not once per block."""
+    return FlagshipStage(**dict(kwargs_key))
 
 
-def _cached_stage(kwargs_key, kwargs):
-    stage = _STAGE_CACHE.get(kwargs_key)
-    if stage is None:
-        stage = FlagshipStage(**kwargs)
-        _STAGE_CACHE[kwargs_key] = stage
-    return stage
-
-
-def run_flagship(ds, key_col="url", lang_col="lang", concurrency=None,
-                 batch_size=None, **kwargs):
+def run_flagship(ds, key_col="url", lang_col="lang", batch_size=None,
+                 **kwargs):
     """Attach the flagship stage to a Dataset.
 
-    Uses stateless tasks with a per-worker-process stage cache (the
-    polygon index builds once per worker — same amortization as an
-    actor pool, but the scheduler stays fully elastic). batch_size=None
-    processes whole blocks zero-copy.
+    Stateless tasks with the per-worker ``cached_stage`` — same
+    amortization as an actor pool, but the scheduler stays fully
+    elastic. batch_size=None processes whole blocks zero-copy.
     """
-    stage_kwargs = {"key_col": key_col, "lang_col": lang_col, **kwargs}
-    key = tuple(sorted(stage_kwargs.items()))
+    key = tuple(sorted({"key_col": key_col, "lang_col": lang_col, **kwargs}.items()))
 
     def fn(batch: pa.Table) -> pa.Table:
-        return _cached_stage(key, stage_kwargs)(batch)
+        return cached_stage(key)(batch)
 
-    if concurrency is not None:
-        return ds.map_batches(
-            FlagshipStage,
-            fn_constructor_kwargs=stage_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
-def tile_stats(ds, driver_merge: bool = True):
+def tile_stats(ds):
     """Per-tile doc counts — partial aggregate inside map_batches bounds
     the merge input to (blocks × distinct tiles) tiny rows; the merge is
-    a driver-side pandas groupby by default (the partial stream is ~MBs
-    even at cluster scale), or a Ray groupby when driver_merge=False."""
+    a driver-side pandas groupby (the partial stream is ~MBs even at
+    cluster scale)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.column("tile").to_numpy()
         uniq, counts = np.unique(t, return_counts=True)
         return pa.table({"tile": uniq, "n_partial": counts.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    if driver_merge:
-        df = partials.to_pandas()
-        out = df.groupby("tile", as_index=False)["n_partial"].sum()
-        out = out.rename(columns={"n_partial": "n_docs"})
-        return out
-    from ray.data.aggregate import Sum
-
-    return partials.groupby("tile").aggregate(Sum("n_partial", alias_name="n_docs"))
+    df = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).to_pandas()
+    out = df.groupby("tile", as_index=False)["n_partial"].sum()
+    return out.rename(columns={"n_partial": "n_docs"})

@@ -47,27 +47,31 @@ class LineageWriter:
             and os.path.isdir(self.part_dir(part))
         )
 
-    def write_part(self, part: int, input_sig: str, write_fn, metrics: dict | None = None):
-        """Atomically write one output partition: write_fn(tmp_dir) must
-        produce the files; the directory is renamed into place and the
-        lineage record written last (commit point)."""
-        final = self.part_dir(part)
-        tmp = final + ".tmp"
+    def stage_dir(self, part: int) -> str:
+        """A fresh, empty ``part={part}.tmp`` directory for the
+        partition's files; a stale one from a crashed run is dropped."""
+        tmp = self.part_dir(part) + ".tmp"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
         os.makedirs(tmp)
-        result_metrics = write_fn(tmp) or {}
+        return tmp
+
+    def commit(self, part: int, input_sig: str, metrics: dict) -> dict:
+        """Atomically publish the partition staged by ``stage_dir``: the
+        directory is renamed into place (replacing any uncommitted
+        leftover), then the lineage record is written last — the
+        commit point ``is_complete`` checks."""
+        final = self.part_dir(part)
         if os.path.exists(final):
             shutil.rmtree(final)
-        os.rename(tmp, final)
-        digest = _dir_digest(final)
+        os.rename(final + ".tmp", final)
         rec = {
             "part": part,
             "input_sig": input_sig,
             "pipeline_version": self.pipeline_version,
             "completed_at": time.time(),
-            "digest": digest,
-            "metrics": {**(metrics or {}), **result_metrics},
+            "digest": _dir_digest(final),
+            "metrics": metrics,
         }
         tmp_rec = self.record_path(part) + ".tmp"
         with open(tmp_rec, "w") as f:
@@ -106,7 +110,7 @@ def checkpointed_flagship(parquet_path: str, out_dir: str, n_partitions: int = 8
     import ray
     import pyarrow.parquet as pq
 
-    from .flagship import FlagshipStage
+    from .flagship import cached_stage
 
     if os.path.isdir(parquet_path):
         # multi-file deployment shape: one partition per input file —
@@ -129,12 +133,14 @@ def checkpointed_flagship(parquet_path: str, out_dir: str, n_partitions: int = 8
         ]
     writer = LineageWriter(out_dir, pipeline_version)
 
+    key = tuple(sorted({"key_col": key_col, "lang_col": lang_col,
+                        **stage_kwargs}.items()))
+
     @ray.remote
     def _process(path: str, lo: int, hi: int, tmp_dir: str) -> dict:
         t0 = time.time()
         tbl = pq.read_table(path).slice(lo, hi - lo)
-        stage = FlagshipStage(key_col=key_col, lang_col=lang_col, **stage_kwargs)
-        out = stage(tbl)
+        out = cached_stage(key)(tbl)
         pq.write_table(out, os.path.join(tmp_dir, "data.parquet"))
         return {"rows": out.num_rows, "seconds": round(time.time() - t0, 3)}
 
@@ -146,32 +152,8 @@ def checkpointed_flagship(parquet_path: str, out_dir: str, n_partitions: int = 8
         if writer.is_complete(p, sig):
             skipped.append(p)
             continue
-        final = writer.part_dir(p)
-        tmp = final + ".tmp"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        pending.append((p, sig, tmp, _process.remote(path, lo, hi, tmp)))
+        tmp = writer.stage_dir(p)
+        pending.append((p, sig, _process.remote(path, lo, hi, tmp)))
 
-    records = []
-    for p, sig, tmp, fut in pending:
-        metrics = ray.get(fut)
-        final = writer.part_dir(p)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        digest = _dir_digest(final)
-        rec = {
-            "part": p,
-            "input_sig": sig,
-            "pipeline_version": pipeline_version,
-            "completed_at": time.time(),
-            "digest": digest,
-            "metrics": metrics,
-        }
-        tmp_rec = writer.record_path(p) + ".tmp"
-        with open(tmp_rec, "w") as f:
-            json.dump(rec, f)
-        os.replace(tmp_rec, writer.record_path(p))
-        records.append(rec)
+    records = [writer.commit(p, sig, ray.get(fut)) for p, sig, fut in pending]
     return records, skipped

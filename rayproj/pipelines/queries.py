@@ -10,6 +10,9 @@ difference cannot flip a rounding boundary in practice.
 
 from __future__ import annotations
 
+import functools
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -39,20 +42,13 @@ def _read(sf_dir: str, table: str, columns=None):
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-# Per-worker-process object cache for stateless-task stages that carry
-# expensive setup (polygon index build, etc.) — same amortization as an
-# actor pool, but the scheduler stays fully elastic: any worker on the
-# cluster can pick up a block and reuses the state on its second block
-# (pattern shared with flagship.py:117-125).
-_WORKER_CACHE: dict = {}
-
-
-def _worker_cached(key, factory):
-    obj = _WORKER_CACHE.get(key)
-    if obj is None:
-        obj = factory()
-        _WORKER_CACHE[key] = obj
-    return obj
+@functools.cache
+def _poly_index(n_polys: int) -> PolygonIndex:
+    """This worker process's polygon index: stateless-task stages build
+    it once per worker, not once per batch — same amortization as an
+    actor pool, but the scheduler stays fully elastic (the same pattern
+    as flagship.cached_stage)."""
+    return PolygonIndex(make_polygons(n_polys))
 
 
 def _elastic_actors(cap: int = 64) -> tuple:
@@ -575,23 +571,6 @@ FROM crt, p ORDER BY doc_id
 """
 
 
-def q_tile_assign(sf_dir: str):
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        tx, ty = tile_xy(lon, lat, ZOOM)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "tile_x": pa.array(tx),
-                "tile_y": pa.array(ty),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
-
-
 SQL_TILE = f"""
 WITH g AS ({GEOLOC_SQL})
 SELECT doc_id,
@@ -626,23 +605,6 @@ FROM t GROUP BY 1 ORDER BY tile_key
 """
 
 
-def q_cell_assign(sf_dir: str):
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        cx, cy = cell_xy(lon, lat, CELL_LEVEL)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "cell_x": pa.array(cx),
-                "cell_y": pa.array(cy),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
-
-
 SQL_CELL = f"""
 WITH g AS ({GEOLOC_SQL})
 SELECT doc_id,
@@ -650,26 +612,6 @@ SELECT doc_id,
   CAST(LEAST(GREATEST(FLOOR((lat + 90.0)/180.0 * {1 << CELL_LEVEL}), 0), {(1 << CELL_LEVEL) - 1}) AS BIGINT) AS cell_y
 FROM g ORDER BY doc_id
 """
-
-
-def q_pip_assign(sf_dir: str):
-    """Point-in-polygon via a per-worker-cached index (elastic tasks:
-    the index builds once per worker process, not once per batch)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        index = _worker_cached(("polyindex", N_POLYS),
-                               lambda: PolygonIndex(make_polygons(N_POLYS)))
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        pid = index.assign(lon, lat)
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "poly_id": pa.array(pid, type=pa.int32())}
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
 
 
 SQL_PIP = f"""
@@ -709,8 +651,7 @@ def q_zonal_stats(sf_dir: str):
     from ray.data.aggregate import Sum
 
     def fn(batch: pa.Table) -> pa.Table:
-        index = _worker_cached(("polyindex", N_POLYS),
-                               lambda: PolygonIndex(make_polygons(N_POLYS)))
+        index = _poly_index(N_POLYS)
         batch = _geoloc_batch(batch)
         lon = batch.column("lon").to_numpy()
         lat = batch.column("lat").to_numpy()
@@ -870,39 +811,6 @@ _GRID_S = f"(-82.5 * {_DRC})"  # grid south, radians
 _GRID_R = f"(5.0 * {_DRC})"  # node step, radians
 
 
-def q_hgridshift(sf_dir: str):
-    """NAD-style horizontal grid shift through the full stateful-grid
-    path: a deterministic CTable2 file is parsed by the binary reader
-    (state/grids.py:154-168, ref src/grids.cpp:1687-1760), shipped to
-    workers grid-free (op __getstate__) and re-loaded once per worker,
-    then applied as vectorized bilinear interpolation + shift
-    (grids.cpp:2874-2944). Node values are integer arc-second formulas
-    of (col,row) so the DuckDB oracle recomputes the float32-stored
-    corners and the identical IEEE interpolation chain in pure SQL."""
-    from .gridfixtures import HG_PATH, ensure_fixtures
-
-    ensure_fixtures()
-    op = create_operation(f"+proj=hgridshift +grids={HG_PATH}")
-
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        m = (lon > -170.0) & (lon < 170.0) & (lat > -78.0) & (lat < 78.0)
-        lon, lat = lon[m], lat[m]
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(batch.column("doc_id").to_numpy()[m]),
-                "slon": pa.array(np.round(coo.x * RAD_TO_DEG, 6)),
-                "slat": pa.array(np.round(coo.y * RAD_TO_DEG, 6)),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
-
-
 SQL_HGRIDSHIFT = f"""
 WITH g AS ({GEOLOC_SQL}),
 f AS (SELECT doc_id, lon, lat FROM g
@@ -932,42 +840,6 @@ SELECT doc_id,
   ROUND((phi + dphi) * CAST(57.295779513082321 AS DOUBLE), 6) AS slat
 FROM d ORDER BY doc_id
 """
-
-
-def q_vgridshift(sf_dir: str):
-    """Vertical grid shift (geoid undulation) through the GTX reader +
-    nodata-aware bilinear path (state/grids.py:501-565, ref
-    src/grids.cpp:174-280, 3141-3270). z inputs are a deterministic
-    formula of doc_id; undulation nodes are dyadic quarter-metre
-    integers of (col,row), so the oracle reproduces the exact float
-    chain including the weight-normalized divide."""
-    from .gridfixtures import VG_PATH, ensure_fixtures
-
-    ensure_fixtures()
-    op = create_operation(f"+proj=vgridshift +grids={VG_PATH}")
-
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        m = (lon > -170.0) & (lon < 170.0) & (lat > -78.0) & (lat < 78.0)
-        ids, lon, lat = ids[m], lon[m], lat[m]
-        z = (ids % 1000) * 0.01
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z, np.zeros(len(ids)))
-        op.trans(FWD, coo)
-        # floor-to-micrometre, not round: z and node values are
-        # near-decimal, so round-half boundaries are actually hit and
-        # NumPy (half-even) vs SQL (half-away) would diverge; floor is
-        # the identical IEEE op on both sides.
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "zshift_um": pa.array(np.floor(coo.z * 1e6).astype(np.int64)),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
 
 
 SQL_VGRIDSHIFT = f"""
@@ -1523,8 +1395,10 @@ FROM p JOIN c USING (chunk) GROUP BY 1 ORDER BY 1
 
 
 def _b_gopher_repetition(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch kernel of q_gopher_repetition (module level so the
-    consolidated q_doc_metrics reuses it column-for-column)."""
+    """Gopher-style within-document repetition signals (Rae et al.
+    2021 §A1.1), a per-batch kernel of q_doc_metrics: per doc, total
+    bigram instances, instances beyond the first occurrence of each
+    distinct bigram, and the top bigram's count (all-integer)."""
     toks = df["text"].fillna("").str.strip().str.split()
     n = toks.str.len().fillna(0).astype(np.int64).to_numpy()
     ex = toks.explode()
@@ -1554,21 +1428,6 @@ def _b_gopher_repetition(df: pd.DataFrame) -> pd.DataFrame:
             "n_dup_instances": n_bg - n_dist,
             "top_bigram_n": top,
         }
-    )
-
-
-def q_gopher_repetition(sf_dir: str):
-    """Gopher-style within-document repetition signals (Rae et al.
-    2021 §A1.1: repeated n-gram filters): per doc, total bigram
-    instances, instances beyond the first occurrence of each distinct
-    bigram, and the top bigram's count. All-integer output -> exact
-    oracle match.
-
-    Scale shape: map-ONLY — each batch computes its docs' signals with
-    two C-speed pandas groupbys and emits one row per doc; no shuffle,
-    embarrassingly parallel, the cheapest possible 100-TB plan."""
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        _b_gopher_repetition, batch_format="pandas"
     )
 
 
@@ -1657,46 +1516,12 @@ FROM n GROUP BY 1 ORDER BY 1
 """
 
 
-def q_token_stats(sf_dir: str):
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars_text": textfn.char_count(batch["text"]),
-                "n_tokens": textfn.token_count(batch["text"]),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        fn, batch_format="pandas"
-    )
-
-
 SQL_TOKEN_STATS = """
 SELECT doc_id, length(text) AS n_chars_text,
   CASE WHEN length(trim(text)) = 0 THEN 0
        ELSE len(regexp_split_to_array(trim(text), '\\s+')) END AS n_tokens
 FROM documents ORDER BY doc_id
 """
-
-
-def q_text_quality(sf_dir: str):
-    """Integer quality ingredients (exactly SQL-checkable)."""
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch["text"].fillna("")
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars_text": textfn.char_count(s),
-                "n_punct": s.str.count(r"[!-/:-@\[-`{-~]").to_numpy(np.int64),
-                "n_upper": s.str.count(r"[A-Z]").to_numpy(np.int64),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        fn, batch_format="pandas"
-    )
 
 
 SQL_TEXT_QUALITY = """
@@ -1736,20 +1561,6 @@ def q_minhash_lsh(sf_dir: str):
     return bucketed_group_apply(ds, "bkey", counts)
 
 
-def q_simhash(sf_dir: str):
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "simhash": simhash64(batch["text"]).astype(np.int64),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        fn, batch_format="pandas"
-    )
-
-
 def q_simhash_neardup(sf_dir: str):
     """SimHash near-dup pipeline (skew-safe): sketches collapse into
     hamming-0 classes first (vectorized groupby aggregate), then only
@@ -1774,17 +1585,6 @@ def q_simhash_neardup(sf_dir: str):
         sketch, batch_format="pandas"
     )
     return simhash_neardup_pipeline(sk)
-
-
-def q_langid(sf_dir: str):
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": batch["doc_id"], "lang_guess": textfn.lang_id(batch["text"])}
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        fn, batch_format="pandas"
-    )
 
 
 def _langid_sql() -> str:
@@ -1822,20 +1622,6 @@ FROM sc ORDER BY doc_id
 
 
 SQL_LANGID = _langid_sql()
-
-
-def q_fingerprint(sf_dir: str):
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "fp64": textfn.fingerprint64(batch["text"]),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        fn, batch_format="pandas"
-    )
 
 
 SQL_FINGERPRINT = """
@@ -2589,30 +2375,6 @@ def _image_payloads(ids: np.ndarray) -> pa.Array:
     )
 
 
-def q_multimodal_meta(sf_dir: str):
-    """Image-metadata extraction through the real actor-pool decode
-    stage (stages/multimodal.ImageDecodeStage): blobs synthesized from
-    doc_id arithmetic, headers parsed back from the BYTES by the
-    vectorized PNG/GIF/BMP/JPEG parsers; the oracle recomputes the
-    planted dims/channels/format arithmetically — a full rows+hash
-    check of the parser path."""
-    from ..stages.multimodal import ImageDecodeStage
-
-    def gen(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "payload": _image_payloads(ids)})
-
-    ds = _read(sf_dir, "documents", ["doc_id"]).map_batches(gen, batch_format="pyarrow")
-    parsed = ds.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"bin_col": "payload"},
-        concurrency=_elastic_actors(),
-        batch_format="pyarrow",
-    )
-    return parsed.select_columns(["doc_id", "img_h", "img_w", "img_c", "img_format"])
-
-
 SQL_MULTIMODAL_META = """
 SELECT doc_id,
   CAST(16 + (doc_id * 13) % 200 AS INTEGER) AS img_h,
@@ -2627,8 +2389,7 @@ FROM documents ORDER BY doc_id
 
 def _audio_payloads(ids: np.ndarray) -> pa.Array:
     """Deterministic per-doc WAV headers (RIFF/fmt/data chunks) built as
-    one (n, 44) byte matrix — shared by q_multimodal_audio and the
-    consolidated q_multimodal_doc."""
+    one (n, 44) byte matrix, for q_multimodal_doc."""
     n = len(ids)
     ch = (1 + ids % 2).astype(np.int64)
     rate = (8000 + (ids % 5) * 4000).astype(np.int64)
@@ -2653,29 +2414,6 @@ def _audio_payloads(ids: np.ndarray) -> pa.Array:
     return pa.Array.from_buffers(
         pa.binary(), n,
         [None, pa.py_buffer(offs), pa.py_buffer(np.ascontiguousarray(m).reshape(-1))],
-    )
-
-
-def q_multimodal_audio(sf_dir: str):
-    """WAV metadata through stages/multimodal.AudioMetaStage: RIFF/fmt/
-    data chunk headers synthesized from doc_id arithmetic, chunk-walked
-    back from the bytes; oracle recomputes the planted values."""
-    from ..stages.multimodal import AudioMetaStage
-
-    def gen(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "payload": _audio_payloads(ids)})
-
-    ds = _read(sf_dir, "documents", ["doc_id"]).map_batches(gen, batch_format="pyarrow")
-    parsed = ds.map_batches(
-        AudioMetaStage,
-        fn_constructor_kwargs={"bin_col": "payload"},
-        concurrency=_elastic_actors(),
-        batch_format="pyarrow",
-    )
-    return parsed.select_columns(
-        ["doc_id", "audio_channels", "audio_rate", "audio_samples"]
     )
 
 
@@ -3171,27 +2909,25 @@ ORDER BY p.event_id
 # ---------------------------------------------------------------------------
 
 _GOPHER_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
+_GOPHER_STOP_PATS = [re.compile(rf"(?:^| ){w}(?= |$)") for w in _GOPHER_STOPWORDS]
+_GOPHER_NONALPHA_PAT = re.compile(r"(?:^| )[^A-Za-z ]+(?= |$)")
 
 
 def _b_gopher_quality(batch: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch kernel of q_gopher_quality (module level so the
-    consolidated q_doc_metrics reuses it column-for-column)."""
-    import re
-
-    stop_pats, nonalpha_pat = _worker_cached(
-        ("gopher_pats",),
-        lambda: ([re.compile(rf"(?:^| ){w}(?= |$)") for w in _GOPHER_STOPWORDS],
-                 re.compile(r"(?:^| )[^A-Za-z ]+(?= |$)")),
-    )
+    """Gopher quality-signal gate (Rae et al. 2021 §A1.1 heuristics,
+    integer-exact so the oracle hash matches), a per-batch kernel of
+    q_doc_metrics: per-doc word count, summed word length, stop-word
+    occurrences and alphabetic-word count, plus the combined keep/drop
+    decision. All signals are vectorized regex/str kernels."""
     s = batch["text"].fillna("")
     n_chars = s.str.len().to_numpy(np.int64)
     n_spaces = s.str.count(" ").to_numpy(np.int64)
     n_words = np.where(n_chars > 0, n_spaces + 1, 0)
     sum_word_len = n_chars - n_spaces
     n_stop = np.zeros(len(s), dtype=np.int64)
-    for pat in stop_pats:
+    for pat in _GOPHER_STOP_PATS:
         n_stop += s.str.count(pat).to_numpy(np.int64)
-    n_alpha = n_words - s.str.count(nonalpha_pat).to_numpy(np.int64)
+    n_alpha = n_words - s.str.count(_GOPHER_NONALPHA_PAT).to_numpy(np.int64)
     kept = (
         (n_words >= 50)
         & (n_words <= 100000)
@@ -3209,17 +2945,6 @@ def _b_gopher_quality(batch: pd.DataFrame) -> pd.DataFrame:
             "n_alpha_words": n_alpha,
             "kept": kept.astype(np.int64),
         }
-    )
-
-
-def q_gopher_quality(sf_dir: str):
-    """Gopher quality-signal gate (Rae et al. 2021 §A1.1 heuristics,
-    integer-exact so the oracle hash matches): per-doc word count,
-    summed word length, stop-word occurrences and alphabetic-word
-    count, plus the combined keep/drop decision. All signals are
-    vectorized regex/str kernels — no per-row Python."""
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        _b_gopher_quality, batch_format="pandas"
     )
 
 
@@ -3446,38 +3171,14 @@ def q_corpus_curation(sf_dir: str):
     bucketed_group_apply) resolves canonicals; output is one decision
     row per document. Oracle: the same gate + window-free canonical
     join in SQL."""
-    import re
-
     from ..functions.dedup import bucketed_group_apply
 
-    stop_pats = [
-        re.compile(rf"(?:^| ){w}(?= |$)") for w in _GOPHER_STOPWORDS
-    ]
-    nonalpha_pat = re.compile(r"(?:^| )[^A-Za-z ]+(?= |$)")
-
     def signals(batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch["text"].fillna("")
-        n_chars = s.str.len().to_numpy(np.int64)
-        n_spaces = s.str.count(" ").to_numpy(np.int64)
-        n_words = np.where(n_chars > 0, n_spaces + 1, 0)
-        sum_word_len = n_chars - n_spaces
-        n_stop = np.zeros(len(s), dtype=np.int64)
-        for pat in stop_pats:
-            n_stop += s.str.count(pat).to_numpy(np.int64)
-        n_alpha = n_words - s.str.count(nonalpha_pat).to_numpy(np.int64)
-        kept = (
-            (n_words >= 50)
-            & (n_words <= 100000)
-            & (3 * n_words <= sum_word_len)
-            & (sum_word_len <= 10 * n_words)
-            & (n_stop >= 2)
-            & (5 * n_alpha >= 4 * n_words)
-        )
         return pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].to_numpy(np.int64),
                 "text_md5": textfn.md5_hex(batch["text"]),
-                "kept_quality": kept.astype(np.int64),
+                "kept_quality": _b_gopher_quality(batch)["kept"].to_numpy(),
             }
         )
 
@@ -3912,13 +3613,6 @@ ORDER BY a.doc_id
 """
 
 
-_PROJ_FWD_MEMBERS = (
-    ("merc", "q_merc_fwd"), ("webmerc", "q_webmerc_fwd"),
-    ("utm", "q_utm_fwd"), ("lcc", "q_lcc_fwd"),
-    ("aea", "q_aea_fwd"), ("stere", "q_stere_fwd"),
-)
-
-
 def q_projections_fwd(sf_dir: str):
     """All six driver-checked projection kernels as ONE tag-union —
     each member keeps its own domain filter (stere lat>10, utm finite
@@ -3926,9 +3620,11 @@ def q_projections_fwd(sf_dir: str):
     the split queries verified. Union is a lazy block concat: no
     shuffle, members stream independently."""
     parts = []
-    for name, qname in _PROJ_FWD_MEMBERS:
-        q = globals()[qname]
-
+    for name, q in (
+        ("merc", q_merc_fwd), ("webmerc", q_webmerc_fwd),
+        ("utm", q_utm_fwd), ("lcc", q_lcc_fwd),
+        ("aea", q_aea_fwd), ("stere", q_stere_fwd),
+    ):
         def tag(t: pa.Table, name=name) -> pa.Table:
             return t.append_column(
                 "proj", pa.array(np.repeat(name, len(t)), type=pa.string())
@@ -3956,8 +3652,7 @@ def q_spatial_assign(sf_dir: str):
     lat/lon cell, point-in-polygon against the worker-cached index)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        index = _worker_cached(("polyindex", N_POLYS),
-                               lambda: PolygonIndex(make_polygons(N_POLYS)))
+        index = _poly_index(N_POLYS)
         batch = _geoloc_batch(batch)
         lon = batch.column("lon").to_numpy()
         lat = batch.column("lat").to_numpy()
@@ -3992,7 +3687,10 @@ ORDER BY a.doc_id
 def q_grid_shift(sf_dir: str):
     """hgridshift (CTable2 reader, bilinear arc-second shift) +
     vgridshift (GTX reader, weight-normalized undulation) in one map
-    pass — identical domain filter, so a clean column-join."""
+    pass — identical domain filter, so a clean column-join. Grid node
+    values are integer formulas of (col, row), so the DuckDB oracle
+    recomputes the float32-stored corners and the identical IEEE
+    interpolation chain in pure SQL."""
     from .gridfixtures import HG_PATH, VG_PATH, ensure_fixtures
 
     ensure_fixtures()
@@ -4011,6 +3709,9 @@ def q_grid_shift(sf_dir: str):
         z = (ids % 1000) * 0.01
         coov = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z, np.zeros(len(ids)))
         opv.trans(FWD, coov)
+        # floor-to-micrometre, not round: z and node values are
+        # near-decimal, so round-half boundaries are actually hit and
+        # NumPy (half-even) vs SQL (half-away) would diverge
         return pa.table(
             {
                 "doc_id": pa.array(ids),

@@ -36,12 +36,6 @@ _ESCAPES = [
 ]
 
 
-def _escape(s: str) -> str:
-    for raw, ent in _ESCAPES:
-        s = s.replace(raw, ent)
-    return s
-
-
 def _rng_for(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, block]))
 
@@ -183,19 +177,3 @@ def ensure_pages_fixture() -> str:
     pq.write_table(t, tmp)
     os.replace(tmp, PAGES_PATH)
     return PAGES_PATH
-
-
-def pages_dataset(n_rows: int, seed: int = 42, block_rows: int = 65536):
-    """Lazy ray.data Dataset of synthetic pages (one block per task)."""
-    import ray.data as rd
-
-    blocks = [(seed, s, min(block_rows, n_rows - s)) for s in range(0, n_rows, block_rows)]
-
-    def gen(batch) -> pa.Table:
-        s, start, n = batch["seed"][0], batch["start"][0], batch["n"][0]
-        return make_pages_block(int(s), int(start), int(n))
-
-    meta = rd.from_items(
-        [{"seed": s, "start": st, "n": n} for s, st, n in blocks]
-    ).repartition(len(blocks))
-    return meta.map_batches(gen, batch_format="pandas", batch_size=1)

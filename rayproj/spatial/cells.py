@@ -1,10 +1,8 @@
 """Hierarchical cell ids (S2/H3-style, own scheme over lon/lat bits).
 
 A cell id packs (level, morton(x, y)) where x, y quantize lon/lat on a
-2^level × 2^level grid. Morton interleaving makes parent/child and
-neighbor relations cheap bit ops, and sorting by cell id gives good
-spatial locality for range shuffles (the partitioning key reused across
-PIP candidate routing and kNN, per SURVEY.md §4).
+2^level × 2^level grid. Morton interleaving makes sorting by cell id
+give good spatial locality for range shuffles (SURVEY.md §4).
 
 All functions are vectorized uint64 NumPy bit math.
 """
@@ -27,16 +25,6 @@ def _part1by1(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _compact1by1(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64) & np.uint64(0x5555555555555555)
-    v = (v | (v >> np.uint64(1))) & np.uint64(0x3333333333333333)
-    v = (v | (v >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = (v | (v >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
-    v = (v | (v >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
-    v = (v | (v >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
-    return v
-
-
 def cell_xy(lon_deg: np.ndarray, lat_deg: np.ndarray, level: int):
     n = np.int64(1) << level
     x = np.floor((np.asarray(lon_deg, dtype=np.float64) + 180.0) / 360.0 * n).astype(np.int64)
@@ -53,57 +41,3 @@ def cell_id(lon_deg: np.ndarray, lat_deg: np.ndarray, level: int) -> np.ndarray:
     x, y = cell_xy(lon_deg, lat_deg, level)
     morton = _part1by1(x) | (_part1by1(y) << np.uint64(1))
     return (np.uint64(level) << np.uint64(58)) | morton
-
-
-def cell_level(cells: np.ndarray) -> np.ndarray:
-    return (np.asarray(cells, dtype=np.uint64) >> np.uint64(58)).astype(np.int64)
-
-
-def cell_to_xy(cells: np.ndarray):
-    c = np.asarray(cells, dtype=np.uint64) & ((np.uint64(1) << np.uint64(58)) - np.uint64(1))
-    x = _compact1by1(c)
-    y = _compact1by1(c >> np.uint64(1))
-    return x.astype(np.int64), y.astype(np.int64)
-
-
-def cell_parent(cells: np.ndarray, parent_level: int) -> np.ndarray:
-    """Ancestor cell at a coarser level."""
-    level = cell_level(cells)
-    x, y = cell_to_xy(cells)
-    shift = (level - parent_level).astype(np.int64)
-    if np.any(shift < 0):
-        raise ValueError("parent_level deeper than cell level")
-    xp = (x >> shift).astype(np.uint64)
-    yp = (y >> shift).astype(np.uint64)
-    morton = _part1by1(xp) | (_part1by1(yp) << np.uint64(1))
-    return (np.uint64(parent_level) << np.uint64(58)) | morton
-
-
-def cell_center(cells: np.ndarray):
-    """(lon, lat) of cell centers in degrees."""
-    level = cell_level(cells)
-    x, y = cell_to_xy(cells)
-    n = (np.int64(1) << level).astype(np.float64)
-    lon = (x + 0.5) / n * 360.0 - 180.0
-    lat = (y + 0.5) / n * 180.0 - 90.0
-    return lon, lat
-
-
-def cell_neighbors(cells: np.ndarray) -> np.ndarray:
-    """8-neighborhood + self per cell (N, 9) — kNN candidate rings.
-    Longitude wraps; latitude clamps at the poles."""
-    level = cell_level(cells)
-    x, y = cell_to_xy(cells)
-    n = np.int64(1) << level
-    out = np.empty((len(cells), 9), dtype=np.uint64)
-    k = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            xs = np.mod(x + dx, n)
-            ys = np.clip(y + dy, 0, n - 1)
-            morton = _part1by1(xs.astype(np.uint64)) | (
-                _part1by1(ys.astype(np.uint64)) << np.uint64(1)
-            )
-            out[:, k] = (level.astype(np.uint64) << np.uint64(58)) | morton
-            k += 1
-    return out

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cells import cell_id
-
 
 def make_polygons(n_polys: int = 60, seed: int = 42, n_vertices: int = 6):
     """Deterministic convex polygon layer.
@@ -47,19 +45,6 @@ def make_polygons(n_polys: int = 60, seed: int = 42, n_vertices: int = 6):
         "n_vertices": n_vertices,
         "verts": verts,
     }
-
-
-def point_in_convex_polygon(verts: np.ndarray, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """Vectorized containment for one convex CCW ring (V, 2) over N points:
-    all edge cross products ≥ 0."""
-    inside = np.ones(len(lon), dtype=bool)
-    V = len(verts)
-    for i in range(V):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % V]
-        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
-        inside &= cross >= 0
-    return inside
 
 
 def point_in_ring(verts: np.ndarray, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
@@ -184,7 +169,3 @@ class PolygonIndex:
             found = best != np.iinfo(np.int32).max
             out[found] = best[found]
         return out
-
-
-def cell_of_polys(polys: dict, level: int) -> np.ndarray:
-    return cell_id(polys["cx"], polys["cy"], level)

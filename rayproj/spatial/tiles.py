@@ -28,17 +28,3 @@ def tile_id(lon_deg: np.ndarray, lat_deg: np.ndarray, zoom: int) -> np.ndarray:
     """Pack (zoom, x, y) into one int64: zoom<<58 | x<<29 | y."""
     x, y = tile_xy(lon_deg, lat_deg, zoom)
     return (np.int64(zoom) << np.int64(58)) | (x << np.int64(29)) | y
-
-
-def tile_bounds(zoom: int, x: int, y: int):
-    """(west, south, east, north) in degrees of one tile."""
-    n = 1 << zoom
-    west = x / n * 360.0 - 180.0
-    east = (x + 1) / n * 360.0 - 180.0
-
-    def lat(yy):
-        return np.degrees(np.arctan(np.sinh(np.pi * (1 - 2 * yy / n))))
-
-    north = float(lat(y))
-    south = float(lat(y + 1))
-    return west, south, east, north

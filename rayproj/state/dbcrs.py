@@ -1375,12 +1375,6 @@ def _strip_edge_norm(steps: list[str]) -> list[str]:
     return steps
 
 
-def _h_identity(crs: dict) -> str:
-    """Code identifying the horizontal frame an edge can attach to:
-    the CRS itself or (projected) also usable via its base."""
-    return crs["code"]
-
-
 def compound_pair_pipeline(s_token: str, t_token: str,
                            single: bool = False) -> str | None:
     """Pipelines between `A + B`-style compounds (and the geographic

@@ -346,10 +346,6 @@ _SPHERICAL_VARIANT = {
 }
 
 
-def _strnum(x) -> float:
-    return float(x)
-
-
 def _unit_dict_from_node(node: WKTNode | None, kind: str,
                          default: dict) -> dict:
     """UNIT/ANGLEUNIT/LENGTHUNIT node -> unit dict, identified against

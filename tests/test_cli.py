@@ -211,6 +211,20 @@ def test_cs2cs_epsg_shorthand(capsys):
     assert y == pytest.approx(4640626.11, abs=0.5)
 
 
+def test_cs2cs_lat_first_without_registry_is_an_error(monkeypatch, tmp_path, capsys):
+    # EPSG:4326's axis order comes from the EPSG registry; without it the
+    # CLI must refuse instead of reading Rome's "lat lon" as "lon lat"
+    from rayproj.state import projdb
+
+    monkeypatch.setattr(projdb, "SQL_DIR", str(tmp_path / "no_sql"))
+    monkeypatch.setattr(projdb, "PROJDB_PATH", str(tmp_path / "no.db"))
+    monkeypatch.setattr(projdb, "_conn", None)
+    rc, out = _run(["cs2cs", "EPSG:4326", "+to", "EPSG:32633"], "41.9028 12.4964\n")
+    assert rc != 0
+    assert out == ""
+    assert "EPSG registry unavailable" in capsys.readouterr().err
+
+
 def test_list_flags(capsys):
     from rayproj.cli import main
 

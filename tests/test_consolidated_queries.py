@@ -1,14 +1,12 @@
 """The round-5 consolidation merged per-operator queries into joined /
-tag-union driver rows. These tests pin the merge: each split
-single-operator query must equal the corresponding column slice (or
-tagged subset) of its consolidated query, so the per-operator API stays
-exercised and any drift between the two surfaces fails loudly."""
+tag-union driver rows. Where a member query is still a live function
+of its union, these tests pin that its output equals the tagged subset
+of the union. The orphan guard keeps every ``q_*`` reachable: each one
+is registered in QUERIES or composed by another ``q_*``."""
 
+import ast
 import os
 import sys
-
-import numpy as np
-import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -24,57 +22,6 @@ def _df(res):
 
 def _sorted(df, by):
     return df.sort_values(by, kind="mergesort").reset_index(drop=True)
-
-
-def test_doc_metrics_slices_match_split_queries(ray_session):
-    merged = _sorted(_df(q.q_doc_metrics(SF)), ["doc_id"])
-    for split_fn, cols in (
-        (q.q_token_stats, ["n_chars_text", "n_tokens"]),
-        (q.q_text_quality, ["n_chars_text", "n_punct", "n_upper"]),
-        (q.q_langid, ["lang_guess"]),
-        (q.q_fingerprint, ["fp64"]),
-        (q.q_simhash, ["simhash"]),
-        (q.q_gopher_repetition,
-         ["n_bigrams", "n_dup_instances", "top_bigram_n"]),
-        (q.q_gopher_quality,
-         ["n_words", "sum_word_len", "n_stop", "n_alpha_words", "kept"]),
-    ):
-        split = _sorted(_df(split_fn(SF)), ["doc_id"])
-        for c in cols:
-            assert (split[c].to_numpy() == merged[c].to_numpy()).all(), (
-                split_fn.__name__, c)
-
-
-def test_spatial_assign_slices_match_split_queries(ray_session):
-    merged = _sorted(_df(q.q_spatial_assign(SF)), ["doc_id"])
-    for split_fn, cols in (
-        (q.q_tile_assign, ["tile_x", "tile_y"]),
-        (q.q_cell_assign, ["cell_x", "cell_y"]),
-        (q.q_pip_assign, ["poly_id"]),
-    ):
-        split = _sorted(_df(split_fn(SF)), ["doc_id"])
-        for c in cols:
-            assert (split[c].to_numpy() == merged[c].to_numpy()).all(), (
-                split_fn.__name__, c)
-
-
-def test_grid_shift_matches_split_queries(ray_session):
-    merged = _sorted(_df(q.q_grid_shift(SF)), ["doc_id"])
-    h = _sorted(_df(q.q_hgridshift(SF)), ["doc_id"])
-    v = _sorted(_df(q.q_vgridshift(SF)), ["doc_id"])
-    assert (merged["slon"].to_numpy() == h["slon"].to_numpy()).all()
-    assert (merged["slat"].to_numpy() == h["slat"].to_numpy()).all()
-    assert (merged["zshift_um"].to_numpy() == v["zshift_um"].to_numpy()).all()
-
-
-def test_multimodal_doc_matches_split_queries(ray_session):
-    merged = _sorted(_df(q.q_multimodal_doc(SF)), ["doc_id"])
-    meta = _sorted(_df(q.q_multimodal_meta(SF)), ["doc_id"])
-    audio = _sorted(_df(q.q_multimodal_audio(SF)), ["doc_id"])
-    for c in ("img_h", "img_w", "img_c", "img_format"):
-        assert (merged[c].to_numpy() == meta[c].to_numpy()).all()
-    for c in ("audio_channels", "audio_rate", "audio_samples"):
-        assert (merged[c].to_numpy() == audio[c].to_numpy()).all()
 
 
 def test_projections_fwd_union_matches_split_queries(ray_session):
@@ -99,3 +46,22 @@ def test_events_windows_union_matches_split_queries(ray_session):
     assert len(tumb) == len(split)
     for c in ("n_events", "sum_cents"):
         assert (tumb[c].to_numpy() == split[c].to_numpy()).all()
+
+
+def test_no_orphan_queries():
+    """Every q_* in queries.py is a QUERIES value or is called from
+    another q_* body (docstrings don't count), and every oracle twin
+    belongs to a registered query."""
+    with open(q.__file__) as f:
+        tree = ast.parse(f.read())
+    bodies = {n.name: n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name.startswith("q_")}
+    registered = {fn.__name__ for fn in q.QUERIES.values()}
+    composed = {
+        node.id
+        for name, fn in bodies.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in bodies and node.id != name
+    }
+    assert sorted(set(bodies) - registered - composed) == []
+    assert set(q.ORACLE_SQL) <= set(q.QUERIES)

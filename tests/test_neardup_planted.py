@@ -19,7 +19,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import __ray_entry__ as entrymod
 from rayproj.functions.dedup import MinHasher, jaccard
-from rayproj.pipelines.queries import q_simhash
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -49,10 +48,14 @@ def _vhash(df: pd.DataFrame) -> str:
 
 def test_golden_pins(ray_session):
     # "simhash" was consolidated into the doc_metrics driver row in
-    # round 5; its sketch values stay pinned via the query function
-    queries = dict(entrymod.queries(), simhash=q_simhash)
+    # round 5; its sketch values stay pinned on that row's slice
+    queries = entrymod.queries()
     for name, (rows, digest) in GOLDEN.items():
-        df = _norm(queries[name](SF_DIR).to_pandas())
+        if name == "simhash":
+            df = queries["doc_metrics"](SF_DIR).to_pandas()[["doc_id", "simhash"]]
+        else:
+            df = queries[name](SF_DIR).to_pandas()
+        df = _norm(df)
         assert len(df) == rows, f"{name}: {len(df)} rows != golden {rows}"
         assert _vhash(df) == digest, f"{name}: value hash drifted from golden"
 

@@ -15,7 +15,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from rayproj.pipelines.queries import (
     q_dedup_norm,
-    q_gopher_repetition,
+    q_doc_metrics,
     q_paragraph_dedup,
 )
 
@@ -32,7 +32,7 @@ def test_paragraph_dedup_nonvacuous(ray_session):
 
 
 def test_gopher_repetition_nonvacuous(ray_session):
-    df = q_gopher_repetition(SF_DIR).to_pandas()
+    df = q_doc_metrics(SF_DIR).to_pandas()
     assert len(df) > 0
     assert int((df["n_dup_instances"] > 0).sum()) > 0
     # a doc with any repeated bigram has top count >= 2
