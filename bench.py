@@ -239,6 +239,7 @@ def run_queries() -> dict:
         for name in names:
             t0 = time.perf_counter()
             res = fns[name](SF_DIR)
+            # a DataFrame result is already computed; a Dataset runs on .count()
             if hasattr(res, "to_pandas"):
                 res.count() if hasattr(res, "count") else len(res)
             timings[name].append(time.perf_counter() - t0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
@@ -113,17 +114,30 @@ def run_flagship(ds, key_col="url", lang_col="lang", batch_size=None,
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
-def tile_stats(ds):
-    """Per-tile doc counts — partial aggregate inside map_batches bounds
-    the merge input to (blocks × distinct tiles) tiny rows; the merge is
-    a driver-side pandas groupby (the partial stream is ~MBs even at
-    cluster scale)."""
+def merge_partials(partials_ds, by: str, sums: dict) -> pd.DataFrame:
+    """Driver-side merge of bounded-key partial aggregates: the
+    ``partials_ds`` rows are summed per ``by`` key and each ``sums``
+    column is renamed to its value. The partial stream is small by
+    construction (at most blocks × distinct keys rows), so it is
+    collected with ``to_pandas`` instead of going through a Ray Data
+    sort shuffle. Always returns ``[by, *sums.values()]``, also when the
+    input has no rows (no block may reach the driver then)."""
+    df = partials_ds.to_pandas()
+    if df.columns.empty:
+        df = pd.DataFrame(columns=[by, *sums], dtype=np.int64)
+    out = df.groupby(by, as_index=False)[list(sums)].sum()
+    return out.rename(columns=sums)
+
+
+def tile_stats(ds) -> pd.DataFrame:
+    """Per-tile doc counts. Each block reduces to (tile, count) partials
+    with ``np.unique``, so at most blocks × 65,536 rows (zoom-8 tiles)
+    reach the driver-side ``merge_partials``, whatever the doc count."""
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.column("tile").to_numpy()
         uniq, counts = np.unique(t, return_counts=True)
         return pa.table({"tile": uniq, "n_partial": counts.astype(np.int64)})
 
-    df = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).to_pandas()
-    out = df.groupby("tile", as_index=False)["n_partial"].sum()
-    return out.rename(columns={"n_partial": "n_docs"})
+    parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return merge_partials(parts, "tile", {"n_partial": "n_docs"})

@@ -28,6 +28,7 @@ from ..spatial.knn import merge_topk, partial_topk
 from ..spatial.polygons import PolygonIndex, make_polygons
 from ..spatial.tiles import tile_xy
 from ..stages.geolocate import geolocate_ids
+from .flagship import merge_partials
 
 ZOOM = 8
 CELL_LEVEL = 6
@@ -581,8 +582,9 @@ FROM g ORDER BY doc_id
 
 
 def q_tile_stats(sf_dir: str):
-    """Per-tile doc counts: partial aggregate per batch → small groupby."""
-    from ray.data.aggregate import Sum
+    """Per-tile doc counts: each batch reduces to (tile_key, count)
+    partials, at most blocks × 65,536 rows (zoom-8 tiles) whatever the
+    doc count, and ``merge_partials`` sums them on the driver."""
 
     def partial(batch: pa.Table) -> pa.Table:
         batch = _geoloc_batch(batch)
@@ -593,9 +595,8 @@ def q_tile_stats(sf_dir: str):
         uniq, counts = np.unique(key, return_counts=True)
         return pa.table({"tile_key": uniq, "n_partial": counts.astype(np.int64)})
 
-    ds = _read(sf_dir, "documents", ["doc_id"]).map_batches(partial, batch_format="pyarrow")
-    out = ds.groupby("tile_key").aggregate(Sum("n_partial", alias_name="n_docs"))
-    return out
+    parts = _read(sf_dir, "documents", ["doc_id"]).map_batches(partial, batch_format="pyarrow")
+    return merge_partials(parts, "tile_key", {"n_partial": "n_docs"})
 
 
 SQL_TILE_STATS = f"""
@@ -643,12 +644,11 @@ GROUP BY g.doc_id ORDER BY g.doc_id
 
 def q_zonal_stats(sf_dir: str):
     """Zonal statistics — the vector-side raster↔vector aggregation:
-    per-polygon doc count and value sum. PIP assignment (actor-held
-    polygon index, broadcast once per actor) is fused with a per-batch
-    partial aggregate over poly_id (np.bincount — one pass), so the
-    shuffle carries N_POLYS-row partials per batch, never doc rows.
-    Elastic tasks with a per-worker-cached index (no actor-pool cap)."""
-    from ray.data.aggregate import Sum
+    per-polygon doc count and doc_id sum. PIP against the per-worker
+    polygon index is fused with a per-batch ``np.bincount`` over
+    poly_id, so each batch emits at most N_POLYS+1 partial rows
+    (blocks × (N_POLYS+1) in all, never doc rows) and
+    ``merge_partials`` sums them on the driver."""
 
     def fn(batch: pa.Table) -> pa.Table:
         index = _poly_index(N_POLYS)
@@ -664,7 +664,7 @@ def q_zonal_stats(sf_dir: str):
         keep = n > 0
         return pa.table(
             {
-                "poly_id": pa.array(np.nonzero(keep)[0] - 1, type=pa.int32()),
+                "poly_id": pa.array(np.nonzero(keep)[0] - 1, type=pa.int64()),
                 "n_partial": pa.array(n[keep].astype(np.int64)),
                 "s_partial": pa.array(s[keep].astype(np.int64)),
             }
@@ -673,10 +673,8 @@ def q_zonal_stats(sf_dir: str):
     parts = _read(sf_dir, "documents", ["doc_id"]).map_batches(
         fn, batch_format="pyarrow"
     )
-    return parts.groupby("poly_id").aggregate(
-        Sum("n_partial", alias_name="n_docs"),
-        Sum("s_partial", alias_name="sum_doc_id"),
-    )
+    return merge_partials(parts, "poly_id",
+                          {"n_partial": "n_docs", "s_partial": "sum_doc_id"})
 
 
 SQL_ZONAL_STATS = f"""
@@ -1009,81 +1007,44 @@ FROM events GROUP BY 1, 2 ORDER BY 1, 2
 
 
 def q_events_sessions(sf_dir: str):
-    """Gap-based sessionization (30-min inactivity) per event type —
-    skew-safe two-level plan (round-2 VERDICT #9): raw events shuffle
-    on (event_type, 6-hour time bucket) so no reducer ever holds a
-    whole key's stream; each bucket sessionizes locally and emits
-    SESSION FRAGMENTS (start, end, count); a second, much smaller
-    groupby per event_type merges fragments across bucket boundaries
-    (gap rule applied to fragment edges — exactly equal to global
-    sessionization since buckets partition time). The single-key
-    reducer now sees one row per session fragment, not per event."""
+    """Gap-based sessionization (30-min inactivity) per event type,
+    with no shuffle. Each read block sorts by (event_type, t) and emits
+    session fragments (event_type, start, end, n); the driver merges
+    one event type's fragments by start, starting a new session where
+    ``start`` exceeds the running max of earlier ``end`` by more than
+    the gap. A fragment lies inside one global session (events from
+    other blocks only shorten its gaps), so this is exact for any split
+    into blocks, also blocks that overlap in time. Fragments number at
+    most sessions + blocks × types; no raw event leaves its block."""
     GAP_MS = 1_800_000  # 30 min, integer milliseconds (exact both sides)
-    BUCKET_MS = 21_600_000  # 6 h
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
+    def fragments(df: pd.DataFrame) -> pd.DataFrame:
         t = df["ts"].to_numpy().astype("datetime64[ms]").astype(np.int64)
-        bucket = t // BUCKET_MS
-        # coarse shuffle key: hash(event_type) folded with the time
-        # bucket (collisions only co-locate extra groups — the inner
-        # kernel partitions by the REAL (event_type, bucket))
-        h = pd.util.hash_array(df["event_type"].to_numpy(object)).astype(np.int64)
-        return pd.DataFrame(
-            {"event_type": df["event_type"], "t": t, "bucket": bucket,
-             "bkey": h * np.int64(1000003) + bucket}
-        )
+        et = df["event_type"].to_numpy(object)
+        order = np.lexsort((t, et))
+        t, et = t[order], et[order]
+        new_s = np.ones(len(t), dtype=bool)
+        new_s[1:] = (et[1:] != et[:-1]) | (np.diff(t) > GAP_MS)
+        last = np.ones(len(t), dtype=bool)
+        last[:-1] = new_s[1:]
+        starts, ends = np.flatnonzero(new_s), np.flatnonzero(last)
+        return pd.DataFrame({"event_type": et[starts], "start": t[starts],
+                             "end": t[ends], "n": ends - starts + 1})
 
-    def local_sessions(df: pd.DataFrame) -> pd.DataFrame:
-        # ONE vectorized pass over every (event_type, bucket) group in
-        # the hash bucket (round-5: replaces a per-group map_groups
-        # callback — per-group Python was the stage's cost at sf0.1)
-        df = df.sort_values(["event_type", "bucket", "t"], kind="mergesort")
-        t = df["t"].to_numpy(np.int64)
-        if not len(t):
-            return pd.DataFrame({"event_type": [], "start": [], "end": [],
-                                 "n": []})
-        newg = np.ones(len(df), dtype=bool)
-        et = df["event_type"].to_numpy()
-        bk = df["bucket"].to_numpy(np.int64)
-        newg[1:] = (et[1:] != et[:-1]) | (bk[1:] != bk[:-1])
-        new_s = newg.copy()
-        new_s[1:] |= np.diff(t) > GAP_MS
-        starts = np.flatnonzero(new_s)
-        ends = np.append(starts[1:], len(t)) - 1
-        return pd.DataFrame(
-            {
-                "event_type": et[starts],
-                "start": t[starts],
-                "end": t[ends],
-                "n": (ends - starts + 1).astype(np.int64),
-            }
-        )
+    def merge(event_type, g: pd.DataFrame) -> tuple:
+        g = g.sort_values("start", kind="mergesort")
+        start, n = g["start"].to_numpy(), g["n"].to_numpy(np.int64)
+        reach = np.maximum.accumulate(g["end"].to_numpy())
+        new = np.ones(len(g), dtype=bool)
+        new[1:] = start[1:] - reach[:-1] > GAP_MS
+        sizes = np.add.reduceat(n, np.flatnonzero(new))
+        return event_type, len(sizes), sizes.max(), n.sum()
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("start", kind="mergesort")
-        start = df["start"].to_numpy(np.int64)
-        end = df["end"].to_numpy(np.int64)
-        n = df["n"].to_numpy(np.int64)
-        flag = np.ones(len(df), dtype=np.int64)
-        flag[1:] = (start[1:] - end[:-1] > GAP_MS).astype(np.int64)
-        gid = np.cumsum(flag) - 1
-        sums = np.bincount(gid, weights=n).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "event_type": df["event_type"].iloc[:1].repeat(1),
-                "n_sessions": np.int64(gid[-1] + 1 if len(gid) else 0),
-                "max_session_events": np.int64(sums.max() if len(sums) else 0),
-                "n_events": np.int64(n.sum()),
-            }
-        )
-
-    from ..functions.dedup import bucketed_group_apply
-
-    frags = bucketed_group_apply(
-        _read(sf_dir, "events", ["ts", "event_type"]).map_batches(
-            bucketize, batch_format="pandas"),
-        "bkey", local_sessions)
-    return frags.groupby("event_type").map_groups(merge, batch_format="pandas")
+    frags = _read(sf_dir, "events", ["ts", "event_type"]).map_batches(
+        fragments, batch_format="pandas").to_pandas()
+    rows = [merge(et, g) for et, g in frags.groupby("event_type")] if len(frags) else []
+    cols = ["event_type", "n_sessions", "max_session_events", "n_events"]
+    return pd.DataFrame(rows, columns=cols).astype({c: np.int64 for c in cols[1:]})
 
 
 SQL_EVENTS_SESSIONS = """
@@ -1544,7 +1505,7 @@ def q_minhash_lsh(sf_dir: str):
     def bands(batch: pd.DataFrame) -> pd.DataFrame:
         mh = MinHasher()
         df = mh.band_rows(batch["doc_id"].to_numpy(), batch["text"])
-        df["bkey"] = df["band_hash"].to_numpy(np.int64) * np.int64(31) + df[
+        df["band_key"] = df["band_hash"].to_numpy(np.int64) * np.int64(31) + df[
             "band_id"
         ].to_numpy(np.int64)
         return df
@@ -1558,7 +1519,7 @@ def q_minhash_lsh(sf_dir: str):
         out = g[g > 1].rename("n_docs").reset_index()
         return out
 
-    return bucketed_group_apply(ds, "bkey", counts)
+    return bucketed_group_apply(ds, "band_key", counts)
 
 
 def q_simhash_neardup(sf_dir: str):
@@ -2175,7 +2136,7 @@ def q_embed_neardup(sf_dir: str):
     )
     index = IVFIndex(np.stack(cents_df["embedding"].to_numpy()))
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
+    def probe_rows(df: pd.DataFrame) -> pd.DataFrame:
         vecs = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         probes = index.probe_lists(vecs, NPROBE)  # (n, NPROBE)
         n = len(df)
@@ -2188,7 +2149,7 @@ def q_embed_neardup(sf_dir: str):
         )
 
     buckets = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        bucketize, batch_format="pandas"
+        probe_rows, batch_format="pandas"
     )
 
     empty = pd.DataFrame(

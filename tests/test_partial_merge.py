@@ -1,0 +1,121 @@
+"""Driver-merged partial aggregates: q_tile_stats, q_zonal_stats,
+q_events_sessions and flagship.tile_stats against their DuckDB twins on
+tables this module writes itself — empty, and split across several
+parquet files so the merge sees partials from more than one block."""
+
+import duckdb
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from rayproj.pipelines import queries as q
+from rayproj.pipelines.flagship import run_flagship, tile_stats
+
+MERGED = ("tile_stats", "zonal_stats", "events_sessions")
+EVENT_TYPES = np.array(["signup", "purchase", "view", "click", "error"])
+DAY_US = 86_400 * 10**6
+
+
+def _documents(n: int, seed: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    return pa.table({
+        "doc_id": pa.array(rng.permutation(n).astype(np.int64)),
+        "lang": pa.array(np.array(["en", "de", "fr"])[rng.integers(0, 3, n)]),
+    })
+
+
+def _events(n: int, days: int, seed: int) -> pa.Table:
+    """n events at uniform times over ``days`` days, in random order, so
+    every slice of the table spans the whole period."""
+    rng = np.random.default_rng(seed)
+    t0 = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
+    ts = t0 + rng.integers(0, days * DAY_US, n, dtype=np.int64)
+    return pa.table({
+        "ts": pa.array(ts.astype("datetime64[us]")),
+        "event_type": pa.array(EVENT_TYPES[rng.integers(0, len(EVENT_TYPES), n)]),
+    })
+
+
+def _write(sf_dir, name: str, table: pa.Table, n_files: int) -> None:
+    """``name``.parquet as one file, or as a directory of n_files files."""
+    if n_files == 1:
+        pq.write_table(table, sf_dir / f"{name}.parquet")
+        return
+    out = sf_dir / f"{name}.parquet"
+    out.mkdir()
+    for i, part in enumerate(np.array_split(np.arange(table.num_rows), n_files)):
+        pq.write_table(table.take(part), out / f"part-{i:03d}.parquet")
+
+
+def _oracle(sf_dir, name: str) -> pd.DataFrame:
+    con = duckdb.connect()
+    for path in sf_dir.glob("*.parquet"):
+        t = path.stem
+        glob = f"{path}/*.parquet" if path.is_dir() else str(path)
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{glob}')")
+    return con.execute(q.ORACLE_SQL[name]).df()
+
+
+def _assert_same(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    def norm(df):
+        df = df.reindex(sorted(df.columns), axis=1)
+        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(norm(got), norm(want))
+
+
+def _n_blocks(sf_dir, table: str) -> int:
+    return q._read(str(sf_dir), table).materialize().num_blocks()
+
+
+def test_empty_tables_return_named_columns(tmp_path, ray_session):
+    _write(tmp_path, "documents", _documents(0, 0), 1)
+    _write(tmp_path, "events", _events(0, 1, 0), 1)
+    for name in MERGED:
+        got = q.QUERIES[name](str(tmp_path))
+        want = _oracle(tmp_path, name)
+        assert len(want) == 0
+        _assert_same(got, want)
+    import ray.data as rd
+
+    docs = rd.read_parquet(str(tmp_path / "documents.parquet"))
+    out = tile_stats(run_flagship(docs, key_col="doc_id", lang_col="lang"))
+    assert list(out.columns) == ["tile", "n_docs"] and len(out) == 0
+
+
+@pytest.mark.parametrize("n_events,n_files", [(3_000, 5), (20_000, 7)])
+def test_sessions_exact_across_overlapping_blocks(tmp_path, ray_session,
+                                                  n_events, n_files):
+    _write(tmp_path, "events", _events(n_events, 30, n_events + n_files), n_files)
+    assert _n_blocks(tmp_path, "events") >= 2
+    want = _oracle(tmp_path, "events_sessions")
+    assert want["n_sessions"].sum() >= 100  # sparse: many gaps to merge across
+    _assert_same(q.q_events_sessions(str(tmp_path)), want)
+
+
+def test_partials_from_several_blocks_merge_exactly(tmp_path, ray_session):
+    _write(tmp_path, "documents", _documents(20_000, 7), 4)
+    assert _n_blocks(tmp_path, "documents") >= 2
+    for name in ("tile_stats", "zonal_stats"):
+        _assert_same(q.QUERIES[name](str(tmp_path)), _oracle(tmp_path, name))
+
+
+@pytest.mark.parametrize("name", [*MERGED, "flagship"])
+def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypatch):
+    import ray.data as rd
+
+    def shuffle(self, *args, **kwargs):
+        raise AssertionError("a Ray Data shuffle ran")
+
+    for op in ("groupby", "sort", "repartition", "random_shuffle"):
+        monkeypatch.setattr(rd.Dataset, op, shuffle)
+    _write(tmp_path, "documents", _documents(500, 3), 2)
+    _write(tmp_path, "events", _events(500, 2, 3), 2)
+    if name == "flagship":
+        docs = rd.read_parquet(str(tmp_path / "documents.parquet"))
+        out = tile_stats(run_flagship(docs, key_col="doc_id", lang_col="lang"))
+        assert out["n_docs"].sum() == 500
+    else:
+        assert len(q.QUERIES[name](str(tmp_path))) > 0
