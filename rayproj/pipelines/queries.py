@@ -19,7 +19,7 @@ import pyarrow as pa
 
 from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
 from ..core.factory import create_operation
-from ..core.op import FWD, Coords
+from ..core.op import FWD, INV, Coords
 from ..functions import text as textfn
 from ..functions.ann import ann_dataset
 from ..functions.dedup import MinHasher, simhash64
@@ -62,10 +62,26 @@ def _elastic_actors(cap: int = 64) -> tuple:
     return (1, max(2, min(cap, cpus)))
 
 
-def _geoloc_batch(batch: pa.Table) -> pa.Table:
-    lon, lat = geolocate_ids(batch.column("doc_id").to_numpy())
-    out = batch.append_column("lon", pa.array(lon, type=pa.float64()))
-    return out.append_column("lat", pa.array(lat, type=pa.float64()))
+def _per_doc(sf_dir: str, kernel):
+    """The per-doc query shape: read ``documents.doc_id``, geolocate
+    each batch once and emit ``pa.table(kernel(ids, lon, lat))``. The
+    kernel returns the output columns (a dict, or a DataFrame); it may
+    drop rows or reduce the batch to partials."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_numpy()
+        lon, lat = geolocate_ids(ids)
+        return pa.table(kernel(ids, lon, lat))
+
+    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+
+
+def _fwd(op, lon, lat, z=None, t=None) -> Coords:
+    """Degrees in, ``op`` forward on the radian ``Coords``, which are
+    returned (``Coords`` defaults z to 0 and t to inf)."""
+    coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z, t)
+    op.trans(FWD, coo)
+    return coo
 
 
 GEOLOC_SQL = (
@@ -80,34 +96,21 @@ GEOLOC_SQL = (
 
 
 def q_geolocate(sf_dir: str):
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    return ds.map_batches(_geoloc_batch, batch_format="pyarrow").select_columns(
-        ["doc_id", "lon", "lat"]
-    )
+    return _per_doc(sf_dir, lambda ids, lon, lat: {"doc_id": ids, "lon": lon, "lat": lat})
 
 
 SQL_GEOLOCATE = f"SELECT doc_id, lon, lat FROM ({GEOLOC_SQL}) ORDER BY doc_id"
 
 
-def _projected_query(sf_dir: str, projstring: str, round_dec: int = 1):
-    """Shared shape: geolocate → engine reprojection → rounded x/y."""
+def _projected_query(sf_dir: str, projstring: str):
+    """Shared shape: geolocate → engine reprojection → x/y at 1 dm."""
     op = create_operation(projstring)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "x": pa.array(np.round(coo.x, round_dec)),
-                "y": pa.array(np.round(coo.y, round_dec)),
-            }
-        )
+    def kernel(ids, lon, lat):
+        coo = _fwd(op, lon, lat)
+        return {"doc_id": ids, "x": np.round(coo.x, 1), "y": np.round(coo.y, 1)}
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+    return _per_doc(sf_dir, kernel)
 
 
 def q_merc_fwd(sf_dir: str):
@@ -185,24 +188,18 @@ def q_proj_factors(sf_dir: str):
         "+proj=lcc +lat_0=46.5 +lon_0=3 +lat_1=49 +lat_2=44 +ellps=GRS80"
     )
 
-    def fn(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column("doc_id").to_numpy()
-        lon, lat = geolocate_ids(ids)
+    def kernel(ids, lon, lat):
         f = factors(op, lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        return pd.DataFrame(
-            {
-                "doc_id": ids,
-                "f_h": np.round(f.h, 6),
-                "f_k": np.round(f.k, 6),
-                "f_s": np.round(f.s, 6),
-                "conv": np.round(f.conv, 6),
-                "omega": np.round(f.omega, 6),
-            }
-        )
+        return {
+            "doc_id": ids,
+            "f_h": np.round(f.h, 6),
+            "f_k": np.round(f.k, 6),
+            "f_s": np.round(f.s, 6),
+            "conv": np.round(f.conv, 6),
+            "omega": np.round(f.omega, 6),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_PROJ_FACTORS = f"""
@@ -347,24 +344,12 @@ def q_stere_fwd(sf_dir: str):
         "+ellps=GRS80"
     )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         m = lat > 10.0
-        coo = Coords(lon[m] * DEG_TO_RAD, lat[m] * DEG_TO_RAD)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(batch.column("doc_id").to_numpy()[m]),
-                "x": pa.array(np.round(coo.x, 1)),
-                "y": pa.array(np.round(coo.y, 1)),
-            }
-        )
+        coo = _fwd(op, lon[m], lat[m])
+        return {"doc_id": ids[m], "x": np.round(coo.x, 1), "y": np.round(coo.y, 1)}
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_STERE = f"""
@@ -400,27 +385,17 @@ def q_utm_roundtrip(sf_dir: str):
     breaks the hash."""
     op = create_operation("+proj=utm +zone=31 +ellps=GRS80")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        from ..core.op import INV
-
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         m = (lat > -80.0) & (lat < 84.0) & (lon > -42.0) & (lon < 48.0)
-        coo = Coords(lon[m] * DEG_TO_RAD, lat[m] * DEG_TO_RAD)
-        op.trans(FWD, coo)
+        coo = _fwd(op, lon[m], lat[m])
         op.trans(INV, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(batch.column("doc_id").to_numpy()[m]),
-                "lon": pa.array(np.round(coo.x * RAD_TO_DEG, 9)),
-                "lat": pa.array(np.round(coo.y * RAD_TO_DEG, 9)),
-            }
-        )
+        return {
+            "doc_id": ids[m],
+            "lon": np.round(coo.x * RAD_TO_DEG, 9),
+            "lat": np.round(coo.y * RAD_TO_DEG, 9),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_UTM_ROUNDTRIP = f"""
@@ -489,22 +464,16 @@ FROM ser WHERE abs(CeF) <= 2.623395162778 ORDER BY doc_id
 def q_cart_fwd(sf_dir: str):
     op = create_operation("+proj=cart +ellps=GRS80")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "gx": pa.array(np.round(coo.x, 1)),
-                "gy": pa.array(np.round(coo.y, 1)),
-                "gz": pa.array(np.round(coo.z, 1)),
-            }
-        )
+    def kernel(ids, lon, lat):
+        coo = _fwd(op, lon, lat)
+        return {
+            "doc_id": ids,
+            "gx": np.round(coo.x, 1),
+            "gy": np.round(coo.y, 1),
+            "gz": np.round(coo.z, 1),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_CART = f"""
@@ -534,23 +503,17 @@ def q_helmert(sf_dir: str):
         "+convention=position_vector".format(**hp)
     )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        cart.trans(FWD, coo)
+    def kernel(ids, lon, lat):
+        coo = _fwd(cart, lon, lat)
         helm.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "hx": pa.array(np.round(coo.x, 1)),
-                "hy": pa.array(np.round(coo.y, 1)),
-                "hz": pa.array(np.round(coo.z, 1)),
-            }
-        )
+        return {
+            "doc_id": ids,
+            "hx": np.round(coo.x, 1),
+            "hy": np.round(coo.y, 1),
+            "hz": np.round(coo.z, 1),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_HELMERT = f"""
@@ -586,17 +549,13 @@ def q_tile_stats(sf_dir: str):
     partials, at most blocks × 65,536 rows (zoom-8 tiles) whatever the
     doc count, and ``merge_partials`` sums them on the driver."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def partial(ids, lon, lat):
         tx, ty = tile_xy(lon, lat, ZOOM)
         key = tx * np.int64(1 << ZOOM) + ty
         uniq, counts = np.unique(key, return_counts=True)
-        return pa.table({"tile_key": uniq, "n_partial": counts.astype(np.int64)})
+        return {"tile_key": uniq, "n_partial": counts.astype(np.int64)}
 
-    parts = _read(sf_dir, "documents", ["doc_id"]).map_batches(partial, batch_format="pyarrow")
-    return merge_partials(parts, "tile_key", {"n_partial": "n_docs"})
+    return merge_partials(_per_doc(sf_dir, partial), "tile_key", {"n_partial": "n_docs"})
 
 
 SQL_TILE_STATS = f"""
@@ -650,30 +609,20 @@ def q_zonal_stats(sf_dir: str):
     (blocks × (N_POLYS+1) in all, never doc rows) and
     ``merge_partials`` sums them on the driver."""
 
-    def fn(batch: pa.Table) -> pa.Table:
-        index = _poly_index(N_POLYS)
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        doc = batch.column("doc_id").to_numpy()
-        pid = index.assign(lon, lat).astype(np.int64)
+    def partial(ids, lon, lat):
+        pid = _poly_index(N_POLYS).assign(lon, lat).astype(np.int64)
         shifted = pid + 1  # -1 (no polygon) → bin 0
         n = np.bincount(shifted, minlength=N_POLYS + 1)
-        s = np.bincount(shifted, weights=doc.astype(np.float64),
+        s = np.bincount(shifted, weights=ids.astype(np.float64),
                         minlength=N_POLYS + 1)
         keep = n > 0
-        return pa.table(
-            {
-                "poly_id": pa.array(np.nonzero(keep)[0] - 1, type=pa.int64()),
-                "n_partial": pa.array(n[keep].astype(np.int64)),
-                "s_partial": pa.array(s[keep].astype(np.int64)),
-            }
-        )
+        return {
+            "poly_id": pa.array(np.nonzero(keep)[0] - 1, type=pa.int64()),
+            "n_partial": n[keep].astype(np.int64),
+            "s_partial": s[keep].astype(np.int64),
+        }
 
-    parts = _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
-    return merge_partials(parts, "poly_id",
+    return merge_partials(_per_doc(sf_dir, partial), "poly_id",
                           {"n_partial": "n_docs", "s_partial": "sum_doc_id"})
 
 
@@ -696,14 +645,8 @@ def q_knn(sf_dir: str):
     """kNN of broadcast anchors vs all docs: per-batch partial top-k,
     tiny merge. Squared-degree metric (pure arithmetic → exact oracle)."""
     a_lon, a_lat = _anchors()
-
-    def batch_fn(df: pd.DataFrame) -> pd.DataFrame:
-        lon, lat = geolocate_ids(df["doc_id"].to_numpy())
-        return partial_topk(df["doc_id"].to_numpy(), lon, lat, a_lon, a_lat,
-                            KNN_K, metric="euclid2")
-
-    partials = _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        batch_fn, batch_format="pandas"
+    partials = _per_doc(
+        sf_dir, lambda ids, lon, lat: partial_topk(ids, lon, lat, a_lon, a_lat, KNN_K)
     )
     merged = merge_topk(partials.to_pandas(), KNN_K)
     merged["rank"] = merged.groupby("anchor_id").cumcount() + 1
@@ -740,21 +683,15 @@ def q_datum_hop(sf_dir: str):
 
     op = create_operation(CS2CS_PIPELINE)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "rlon": pa.array(np.round(coo.x * RAD_TO_DEG, 6)),
-                "rlat": pa.array(np.round(coo.y * RAD_TO_DEG, 6)),
-            }
-        )
+    def kernel(ids, lon, lat):
+        coo = _fwd(op, lon, lat)
+        return {
+            "doc_id": ids,
+            "rlon": np.round(coo.x * RAD_TO_DEG, 6),
+            "rlat": np.round(coo.y * RAD_TO_DEG, 6),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_DATUM_HOP = f"""
@@ -871,7 +808,7 @@ FROM v ORDER BY doc_id
 
 def q_agg_lineitem(sf_dir: str):
     """TPC-H Q1-flavoured pricing summary with exact integer cents."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     def prep(batch: pa.Table) -> pa.Table:
         """Map-side partial aggregate: the shuffle carries ≤
@@ -928,7 +865,7 @@ def q_join_orders_customer(sf_dir: str):
     .map. Each worker also pre-aggregates (segment → count/sum) so the
     groupby shuffle moves ≤ blocks × n_segments tiny rows."""
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
     keys = cust["c_custkey"].to_numpy(np.int64)
@@ -2464,22 +2401,16 @@ def q_op_routing(sf_dir: str):
     ]
     routed = RoutedOperation(alts)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        routed.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "op_id": pa.array(routed.last_chosen, type=pa.int64()),
-                "rlon": pa.array(np.round(coo.x * RAD_TO_DEG, 6)),
-                "rlat": pa.array(np.round(coo.y * RAD_TO_DEG, 6)),
-            }
-        )
+    def kernel(ids, lon, lat):
+        coo = _fwd(routed, lon, lat)
+        return {
+            "doc_id": ids,
+            "op_id": pa.array(routed.last_chosen, type=pa.int64()),
+            "rlon": np.round(coo.x * RAD_TO_DEG, 6),
+            "rlat": np.round(coo.y * RAD_TO_DEG, 6),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(fn, batch_format="pyarrow")
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_OP_ROUTING = f"""
@@ -2503,6 +2434,23 @@ FROM r ORDER BY doc_id
 """
 
 
+def _purchases_and_signups(sf_dir: str):
+    """The two join sides of the event-join queries, pruned at the read:
+    (event_id, ts, user_id, event_type) rows of 'purchase' and 'signup'
+    events only."""
+
+    def keep(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        return t.filter(
+            pc.is_in(t["event_type"], value_set=pa.array(["purchase", "signup"]))
+        )
+
+    return _read(
+        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
+    ).map_batches(keep, batch_format="pyarrow")
+
+
 def q_events_asof(sf_dir: str):
     """Distributed AS-OF JOIN (a custom operator Ray Data lacks):
     each 'purchase' event is matched to the same user's most recent
@@ -2514,17 +2462,6 @@ def q_events_asof(sf_dir: str):
     the corpus but per-key rows stay bounded); a hot key would take
     a (key, time-bucket) split with boundary carry-forward, exactly
     like events_sessions. Oracle: DuckDB's native ASOF LEFT JOIN."""
-    def keep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.filter(
-            pc.is_in(t["event_type"], value_set=pa.array(["purchase", "signup"]))
-        )
-
-    ds = _read(
-        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
-    ).map_batches(keep, batch_format="pyarrow")
-
     def asof(df: pd.DataFrame) -> pd.DataFrame:
         left = df[df["event_type"] == "purchase"]
         right = df[df["event_type"] == "signup"].sort_values(
@@ -2548,7 +2485,8 @@ def q_events_asof(sf_dir: str):
             }
         )
 
-    return ds.groupby("user_id").map_groups(asof, batch_format="pandas")
+    return _purchases_and_signups(sf_dir).groupby("user_id").map_groups(
+        asof, batch_format="pandas")
 
 
 def q_html_extract(sf_dir: str):
@@ -2689,6 +2627,21 @@ _RJ_WIDTH = 144_000_000_000  # window width: 40 h (2.5x overlap)
 _RJ_NW = 45  # covers the 30-day event span
 
 
+def _hop_windows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Explode epoch-µs timestamps onto every hopping window that holds
+    them: (row, window_id) pairs. Candidate windows per point are
+    bounded by width/cadence (3 here) and found by integer division +
+    vectorized containment masks, O(n * overlap) not O(n * windows)."""
+    k_hi = (ts - _RJ_T0) // _RJ_STEP
+    ncand = _RJ_WIDTH // _RJ_STEP + 1
+    cand = k_hi[:, None] - np.arange(ncand, dtype=np.int64)[None, :]
+    ws = _RJ_T0 + cand * _RJ_STEP
+    ok = (cand >= 0) & (cand < _RJ_NW)
+    ok &= (ts[:, None] >= ws) & (ts[:, None] < ws + _RJ_WIDTH)
+    r, c = np.nonzero(ok)
+    return r, cand[r, c]
+
+
 def q_events_range_join(sf_dir: str):
     """Distributed RANGE (interval) JOIN — another operator Ray Data
     lacks: each event explodes to ALL overlapping campaign windows.
@@ -2711,17 +2664,11 @@ def q_events_range_join(sf_dir: str):
             .astype(np.int64)
         )
         eid = batch.column("event_id").to_numpy()
-        k_hi = (ts - _RJ_T0) // _RJ_STEP
-        ncand = _RJ_WIDTH // _RJ_STEP + 1
-        cand = k_hi[:, None] - np.arange(ncand, dtype=np.int64)[None, :]
-        ws = _RJ_T0 + cand * _RJ_STEP
-        ok = (cand >= 0) & (cand < _RJ_NW)
-        ok &= (ts[:, None] >= ws) & (ts[:, None] < ws + _RJ_WIDTH)
-        r, c = np.nonzero(ok)
+        r, wid = _hop_windows(ts)
         return pa.table(
             {
                 "event_id": pa.array(eid[r]),
-                "window_id": pa.array(cand[r, c]),
+                "window_id": pa.array(wid),
                 "ts_us": pa.array(ts[r]),
             }
         )
@@ -2756,14 +2703,8 @@ def q_events_sliding_window(sf_dir: str):
         ts = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
         cents = np.floor(df["value"].to_numpy() * 100).astype(np.int64)
         codes, uniq_types = pd.factorize(df["event_type"])
-        k_hi = (ts - _RJ_T0) // _RJ_STEP
-        ncand = _RJ_WIDTH // _RJ_STEP + 1
-        cand = k_hi[:, None] - np.arange(ncand, dtype=np.int64)[None, :]
-        ws = _RJ_T0 + cand * _RJ_STEP
-        ok = (cand >= 0) & (cand < _RJ_NW)
-        ok &= (ts[:, None] >= ws) & (ts[:, None] < ws + _RJ_WIDTH)
-        r, c = np.nonzero(ok)
-        key = cand[r, c] * len(uniq_types) + codes[r]
+        r, wid = _hop_windows(ts)
+        key = wid * len(uniq_types) + codes[r]
         uk, inv = np.unique(key, return_inverse=True)
         n = np.bincount(inv, minlength=len(uk)).astype(np.int64)
         s = np.bincount(inv, weights=cents[r].astype(np.float64),
@@ -2805,17 +2746,6 @@ def q_events_window_join(sf_dir: str):
     bounded by the true match count). Oracle: DuckDB non-equi join."""
     _WJ = 43_200_000_000  # ±12 h in µs
 
-    def keep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.filter(
-            pc.is_in(t["event_type"], value_set=pa.array(["purchase", "signup"]))
-        )
-
-    ds = _read(
-        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
-    ).map_batches(keep, batch_format="pyarrow")
-
     def wjoin(df: pd.DataFrame) -> pd.DataFrame:
         left = df[df["event_type"] == "purchase"]
         right = df[df["event_type"] == "signup"].sort_values(
@@ -2840,7 +2770,8 @@ def q_events_window_join(sf_dir: str):
             }
         )
 
-    return ds.groupby("user_id").map_groups(wjoin, batch_format="pandas")
+    return _purchases_and_signups(sf_dir).groupby("user_id").map_groups(
+        wjoin, batch_format="pandas")
 
 
 SQL_EVENTS_WINDOW_JOIN = """
@@ -3574,28 +3505,42 @@ ORDER BY a.doc_id
 """
 
 
+def _tag_union(tag: str, members):
+    """Tag-union of query results on one schema. ``members`` is a list
+    of ``(value, ds, {out_col: member_col_or_constant})``: each member
+    row gets ``tag = value`` and the mapped columns, where a string
+    names a member column and anything else is a per-row constant. One
+    lazy ``Dataset.union`` — a block concat, no shuffle; members stream
+    independently."""
+
+    def retag(value, cols):
+        def fn(t: pa.Table) -> pa.Table:
+            out = {tag: pa.repeat(value, len(t))}
+            for name, src in cols.items():
+                out[name] = t.column(src) if isinstance(src, str) else pa.repeat(src, len(t))
+            return pa.table(out)
+
+        return fn
+
+    parts = [ds.map_batches(retag(value, cols), batch_format="pyarrow")
+             for value, ds, cols in members]
+    return parts[0].union(*parts[1:])
+
+
 def q_projections_fwd(sf_dir: str):
     """All six driver-checked projection kernels as ONE tag-union —
     each member keeps its own domain filter (stere lat>10, utm finite
     easting), so the union carries exactly the per-projection row sets
-    the split queries verified. Union is a lazy block concat: no
-    shuffle, members stream independently."""
-    parts = []
-    for name, q in (
-        ("merc", q_merc_fwd), ("webmerc", q_webmerc_fwd),
-        ("utm", q_utm_fwd), ("lcc", q_lcc_fwd),
-        ("aea", q_aea_fwd), ("stere", q_stere_fwd),
-    ):
-        def tag(t: pa.Table, name=name) -> pa.Table:
-            return t.append_column(
-                "proj", pa.array(np.repeat(name, len(t)), type=pa.string())
-            )
-
-        parts.append(q(sf_dir).map_batches(tag, batch_format="pyarrow"))
-    out = parts[0]
-    for prt in parts[1:]:
-        out = out.union(prt)
-    return out
+    the split queries verified."""
+    xy = {"doc_id": "doc_id", "x": "x", "y": "y"}
+    return _tag_union("proj", [
+        (name, q(sf_dir), xy)
+        for name, q in (
+            ("merc", q_merc_fwd), ("webmerc", q_webmerc_fwd),
+            ("utm", q_utm_fwd), ("lcc", q_lcc_fwd),
+            ("aea", q_aea_fwd), ("stere", q_stere_fwd),
+        )
+    ])
 
 
 SQL_PROJECTIONS_FWD = "\nUNION ALL\n".join(
@@ -3612,28 +3557,20 @@ def q_spatial_assign(sf_dir: str):
     spatial assignments off ONE geolocate pass (web-mercator tile,
     lat/lon cell, point-in-polygon against the worker-cached index)."""
 
-    def fn(batch: pa.Table) -> pa.Table:
-        index = _poly_index(N_POLYS)
-        batch = _geoloc_batch(batch)
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         tx, ty = tile_xy(lon, lat, ZOOM)
         cx, cy = cell_xy(lon, lat, CELL_LEVEL)
-        pid = index.assign(lon, lat)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "tile_x": pa.array(tx),
-                "tile_y": pa.array(ty),
-                "cell_x": pa.array(cx),
-                "cell_y": pa.array(cy),
-                "poly_id": pa.array(pid, type=pa.int32()),
-            }
-        )
+        pid = _poly_index(N_POLYS).assign(lon, lat)
+        return {
+            "doc_id": ids,
+            "tile_x": tx,
+            "tile_y": ty,
+            "cell_x": cx,
+            "cell_y": cy,
+            "poly_id": pa.array(pid, type=pa.int32()),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_SPATIAL_ASSIGN = f"""
@@ -3658,33 +3595,22 @@ def q_grid_shift(sf_dir: str):
     oph = create_operation(f"+proj=hgridshift +grids={HG_PATH}")
     opv = create_operation(f"+proj=vgridshift +grids={VG_PATH}")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         m = (lon > -170.0) & (lon < 170.0) & (lat > -78.0) & (lat < 78.0)
         ids, lon, lat = ids[m], lon[m], lat[m]
-        cooh = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
-        oph.trans(FWD, cooh)
-        z = (ids % 1000) * 0.01
-        coov = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z, np.zeros(len(ids)))
-        opv.trans(FWD, coov)
+        cooh = _fwd(oph, lon, lat)
+        coov = _fwd(opv, lon, lat, (ids % 1000) * 0.01, np.zeros(len(ids)))
         # floor-to-micrometre, not round: z and node values are
         # near-decimal, so round-half boundaries are actually hit and
         # NumPy (half-even) vs SQL (half-away) would diverge
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "slon": pa.array(np.round(cooh.x * RAD_TO_DEG, 6)),
-                "slat": pa.array(np.round(cooh.y * RAD_TO_DEG, 6)),
-                "zshift_um": pa.array(np.floor(coov.z * 1e6).astype(np.int64)),
-            }
-        )
+        return {
+            "doc_id": ids,
+            "slon": np.round(cooh.x * RAD_TO_DEG, 6),
+            "slat": np.round(cooh.y * RAD_TO_DEG, 6),
+            "zshift_um": np.floor(coov.z * 1e6).astype(np.int64),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_GRID_SHIFT = f"""
@@ -3789,28 +3715,10 @@ def q_sampling(sf_dir: str):
     """hash_sample + stratified_sample tag-union: (method, doc_id,
     strat) where strat is the sample's grouping value (source for the
     content-hash sample, lang for the per-language quota sample)."""
-
-    def tag_hash(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "method": np.repeat("hash", len(df)),
-                "doc_id": df["doc_id"].to_numpy(np.int64),
-                "strat": df["source"].to_numpy(),
-            }
-        )
-
-    def tag_strat(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "method": np.repeat("stratified", len(df)),
-                "doc_id": df["doc_id"].to_numpy(np.int64),
-                "strat": df["lang"].to_numpy(),
-            }
-        )
-
-    a = q_hash_sample(sf_dir).map_batches(tag_hash, batch_format="pandas")
-    b = q_stratified_sample(sf_dir).map_batches(tag_strat, batch_format="pandas")
-    return a.union(b)
+    return _tag_union("method", [
+        ("hash", q_hash_sample(sf_dir), {"doc_id": "doc_id", "strat": "source"}),
+        ("stratified", q_stratified_sample(sf_dir), {"doc_id": "doc_id", "strat": "lang"}),
+    ])
 
 
 SQL_SAMPLING = f"""
@@ -3824,32 +3732,13 @@ def q_events_windows(sf_dir: str):
     """Tumbling (1 h per type) + hopping (40 h / 16 h) window
     aggregates tag-unioned on a common (wkind, event_type, window_id,
     n_events, sum_cents) schema."""
-
-    def tag_tumbling(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "wkind": np.repeat("tumbling", len(df)),
-                "event_type": df["event_type"].to_numpy(),
-                "window_id": df["window"].to_numpy(np.int64),
-                "n_events": df["n_events"].to_numpy(np.int64),
-                "sum_cents": df["sum_cents"].to_numpy(np.int64),
-            }
-        )
-
-    def tag_hopping(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "wkind": np.repeat("hopping", len(df)),
-                "event_type": df["event_type"].to_numpy(),
-                "window_id": df["window_id"].to_numpy(np.int64),
-                "n_events": df["n_events"].to_numpy(np.int64),
-                "sum_cents": df["sum_cents"].to_numpy(np.int64),
-            }
-        )
-
-    a = q_events_window(sf_dir).map_batches(tag_tumbling, batch_format="pandas")
-    b = q_events_sliding_window(sf_dir).map_batches(tag_hopping, batch_format="pandas")
-    return a.union(b)
+    agg = {"n_events": "n_events", "sum_cents": "sum_cents"}
+    return _tag_union("wkind", [
+        ("tumbling", q_events_window(sf_dir),
+         {"event_type": "event_type", "window_id": "window", **agg}),
+        ("hopping", q_events_sliding_window(sf_dir),
+         {"event_type": "event_type", "window_id": "window_id", **agg}),
+    ])
 
 
 SQL_EVENTS_WINDOWS = f"""
@@ -3865,34 +3754,14 @@ def q_events_joins(sf_dir: str):
     """As-of join + +-12 h stream-stream window join tag-unioned on
     (jkind, event_id, user_id, signup_event_id, lag_us, ts_us); window
     rows carry ts_us = -1 (not part of that member's contract)."""
-
-    def tag_asof(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "jkind": np.repeat("asof", len(df)),
-                "event_id": df["event_id"].to_numpy(np.int64),
-                "user_id": df["user_id"].to_numpy(np.int64),
-                "signup_event_id": df["signup_event_id"].to_numpy(np.int64),
-                "lag_us": df["asof_lag_us"].to_numpy(np.int64),
-                "ts_us": df["ts_us"].to_numpy(np.int64),
-            }
-        )
-
-    def tag_window(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "jkind": np.repeat("window", len(df)),
-                "event_id": df["event_id"].to_numpy(np.int64),
-                "user_id": df["user_id"].to_numpy(np.int64),
-                "signup_event_id": df["signup_event_id"].to_numpy(np.int64),
-                "lag_us": df["lag_us"].to_numpy(np.int64),
-                "ts_us": np.full(len(df), -1, dtype=np.int64),
-            }
-        )
-
-    a = q_events_asof(sf_dir).map_batches(tag_asof, batch_format="pandas")
-    b = q_events_window_join(sf_dir).map_batches(tag_window, batch_format="pandas")
-    return a.union(b)
+    keys = {"event_id": "event_id", "user_id": "user_id",
+            "signup_event_id": "signup_event_id"}
+    return _tag_union("jkind", [
+        ("asof", q_events_asof(sf_dir),
+         {**keys, "lag_us": "asof_lag_us", "ts_us": "ts_us"}),
+        ("window", q_events_window_join(sf_dir),
+         {**keys, "lag_us": "lag_us", "ts_us": np.int64(-1)}),
+    ])
 
 
 SQL_EVENTS_JOINS = f"""
@@ -3910,28 +3779,10 @@ def q_ngram_freq(sf_dir: str):
     """Corpus-wide top-50 word + top-30 bigram frequency tag-union
     (kind, gram, n) — both members keep their map-side value_counts
     combiner shape."""
-
-    def tag_word(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "kind": np.repeat("word", len(df)),
-                "gram": df["word"].to_numpy(),
-                "n": df["n"].to_numpy(np.int64),
-            }
-        )
-
-    def tag_bigram(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "kind": np.repeat("bigram", len(df)),
-                "gram": df["bigram"].to_numpy(),
-                "n": df["n"].to_numpy(np.int64),
-            }
-        )
-
-    a = q_word_freq(sf_dir).map_batches(tag_word, batch_format="pandas")
-    b = q_bigram_stats(sf_dir).map_batches(tag_bigram, batch_format="pandas")
-    return a.union(b)
+    return _tag_union("kind", [
+        ("word", q_word_freq(sf_dir), {"gram": "word", "n": "n"}),
+        ("bigram", q_bigram_stats(sf_dir), {"gram": "bigram", "n": "n"}),
+    ])
 
 
 SQL_NGRAM_FREQ = f"""
@@ -3945,30 +3796,11 @@ def q_dedup_surface(sf_dir: str):
     """Exact dedup + normalization-aware dedup tag-union on (method,
     key_md5, keep_doc_id, n_dups) — both members keep the map-side
     hash + 64-bucket collapse shape."""
-
-    def tag_exact(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "method": np.repeat("exact", len(df)),
-                "key_md5": df["text_md5"].to_numpy(),
-                "keep_doc_id": df["keep_doc_id"].to_numpy(np.int64),
-                "n_dups": df["n_dups"].to_numpy(np.int64),
-            }
-        )
-
-    def tag_norm(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "method": np.repeat("norm", len(df)),
-                "key_md5": df["norm_md5"].to_numpy(),
-                "keep_doc_id": df["keep_doc_id"].to_numpy(np.int64),
-                "n_dups": df["n_dups"].to_numpy(np.int64),
-            }
-        )
-
-    a = q_dedup_exact(sf_dir).map_batches(tag_exact, batch_format="pandas")
-    b = q_dedup_norm(sf_dir).map_batches(tag_norm, batch_format="pandas")
-    return a.union(b)
+    kept = {"keep_doc_id": "keep_doc_id", "n_dups": "n_dups"}
+    return _tag_union("method", [
+        ("exact", q_dedup_exact(sf_dir), {"key_md5": "text_md5", **kept}),
+        ("norm", q_dedup_norm(sf_dir), {"key_md5": "norm_md5", **kept}),
+    ])
 
 
 SQL_DEDUP_SURFACE = f"""
@@ -4043,11 +3875,7 @@ def q_tinshift(sf_dir: str):
     ensure_tin()
     op = create_operation(f"+proj=tinshift +file={TIN_PATH} +ellps=GRS80")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        x = batch.column("lon").to_numpy()
-        y = batch.column("lat").to_numpy()
+    def kernel(ids, x, y):
         gx = (x - (-180.0)) / 10.0
         gy = (y - (-85.0)) / 10.0
         fx = gx - np.floor(gx)
@@ -4058,23 +3886,19 @@ def q_tinshift(sf_dir: str):
         z = (ids % 400) * 0.01
         coo = Coords(x, y, z, np.zeros(len(ids)))
         op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                # round 7, not 9: at |v|<=185 a 1e-9 rounding scales to
-                # ~1.8e11 where the double grid is ~3e-5 — int+0.5 ties
-                # (half-even vs half-away) at ~3e-5/value; 1e-7 keeps the
-                # scaled grid at ~5e-7 while still validating the
-                # barycentric chain 4 orders below the planted offsets
-                "tx": pa.array(np.round(coo.x, 7)),
-                "ty": pa.array(np.round(coo.y, 7)),
-                "tz": pa.array(np.round(coo.z, 7)),
-            }
-        )
+        return {
+            "doc_id": ids,
+            # round 7, not 9: at |v|<=185 a 1e-9 rounding scales to
+            # ~1.8e11 where the double grid is ~3e-5 — int+0.5 ties
+            # (half-even vs half-away) at ~3e-5/value; 1e-7 keeps the
+            # scaled grid at ~5e-7 while still validating the
+            # barycentric chain 4 orders below the planted offsets
+            "tx": np.round(coo.x, 7),
+            "ty": np.round(coo.y, 7),
+            "tz": np.round(coo.z, 7),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 def _tinshift_sql() -> str:
@@ -4141,31 +3965,21 @@ def q_molodensky(sf_dir: str):
     op_std = create_operation(f"+proj=molodensky +ellps=intl {mstr}")
     op_abr = create_operation(f"+proj=molodensky +ellps=intl {mstr} +abridged")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         z = (ids % 1000) * 0.01
-        cs = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z.copy(), np.zeros(len(ids)))
-        op_std.trans(FWD, cs)
-        ca = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z.copy(), np.zeros(len(ids)))
-        op_abr.trans(FWD, ca)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "slon_std": pa.array(np.round(cs.x * RAD_TO_DEG, 6)),
-                "slat_std": pa.array(np.round(cs.y * RAD_TO_DEG, 6)),
-                "h_std": pa.array(np.round(cs.z, 6)),
-                "slon_abr": pa.array(np.round(ca.x * RAD_TO_DEG, 6)),
-                "slat_abr": pa.array(np.round(ca.y * RAD_TO_DEG, 6)),
-                "h_abr": pa.array(np.round(ca.z, 6)),
-            }
-        )
+        cs = _fwd(op_std, lon, lat, z.copy(), np.zeros(len(ids)))
+        ca = _fwd(op_abr, lon, lat, z.copy(), np.zeros(len(ids)))
+        return {
+            "doc_id": ids,
+            "slon_std": np.round(cs.x * RAD_TO_DEG, 6),
+            "slat_std": np.round(cs.y * RAD_TO_DEG, 6),
+            "h_std": np.round(cs.z, 6),
+            "slon_abr": np.round(ca.x * RAD_TO_DEG, 6),
+            "slat_abr": np.round(ca.y * RAD_TO_DEG, 6),
+            "h_abr": np.round(ca.z, 6),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_MOLODENSKY = f"""
@@ -4218,27 +4032,16 @@ def q_defmodel(sf_dir: str):
     ensure_deformation_fixtures()
     op = create_operation(f"+proj=defmodel +model={DEFMODEL_PATH} +ellps=GRS80")
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        z = (ids % 300) * 0.01
-        t = 2000.0 + (ids % 250) * 0.1
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD, z, t)
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "slon": pa.array(np.round(coo.x * RAD_TO_DEG, 6)),
-                "slat": pa.array(np.round(coo.y * RAD_TO_DEG, 6)),
-                "sz": pa.array(np.round(coo.z, 6)),
-            }
-        )
+    def kernel(ids, lon, lat):
+        coo = _fwd(op, lon, lat, (ids % 300) * 0.01, 2000.0 + (ids % 250) * 0.1)
+        return {
+            "doc_id": ids,
+            "slon": np.round(coo.x * RAD_TO_DEG, 6),
+            "slat": np.round(coo.y * RAD_TO_DEG, 6),
+            "sz": np.round(coo.z, 6),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_DEFMODEL = f"""
@@ -4273,32 +4076,22 @@ def q_deformation(sf_dir: str):
         f"+z_grids={DEF_VG_PATH} +dt=10"
     )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = _geoloc_batch(batch)
-        ids = batch.column("doc_id").to_numpy()
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
+    def kernel(ids, lon, lat):
         m = (lon > -170.0) & (lon < 170.0) & (lat > -78.0) & (lat < 78.0)
         ids, lon, lat = ids[m], lon[m], lat[m]
-        coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD,
-                     np.zeros(len(ids)), np.zeros(len(ids)))
-        op.trans(FWD, coo)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                # round 2, not 4: ~6.4e6-magnitude cartesians at 1e-4
-                # scale to ~6e10 where the double grid is ~1e-5 wide
-                # (same tie mechanism as horner); cm rounding still sees
-                # the ~0.2 m velocity shifts under test
-                "dx_m": pa.array(np.round(coo.x, 2)),
-                "dy_m": pa.array(np.round(coo.y, 2)),
-                "dz_m": pa.array(np.round(coo.z, 2)),
-            }
-        )
+        coo = _fwd(op, lon, lat, np.zeros(len(ids)), np.zeros(len(ids)))
+        return {
+            "doc_id": ids,
+            # round 2, not 4: ~6.4e6-magnitude cartesians at 1e-4
+            # scale to ~6e10 where the double grid is ~1e-5 wide
+            # (same tie mechanism as horner); cm rounding still sees
+            # the ~0.2 m velocity shifts under test
+            "dx_m": np.round(coo.x, 2),
+            "dy_m": np.round(coo.y, 2),
+            "dz_m": np.round(coo.z, 2),
+        }
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_DEFORMATION = f"""

@@ -1,11 +1,11 @@
 """kNN of a small anchor set against a large point table.
 
-Scale pattern (SURVEY.md M6): anchors are broadcast (ray.put once);
-every batch computes a vectorized distance matrix and keeps only its
-local top-k per anchor (partial top-k inside map_batches), then a tiny
-groupby-merge over (n_batches × anchors × k) partials produces the
-global answer — no all-to-all shuffle of the big side. Hot-cell skew
-never arises because the reduce side is bounded by anchors×k.
+Scale pattern (SURVEY.md M6): anchors are broadcast; every batch
+computes a vectorized distance matrix and keeps only its local top-k
+per anchor (partial top-k inside map_batches), then a driver merge of
+the (n_batches × anchors × k) partials produces the global answer — no
+all-to-all shuffle of the big side. Hot-cell skew never arises because
+the merge is bounded by anchors×k.
 
 Ties break on (distance, point_id) for a deterministic result that an
 ANSI-SQL window-function oracle reproduces exactly.
@@ -17,17 +17,6 @@ import numpy as np
 import pandas as pd
 
 
-def _haversine_m(lon1, lat1, lon2, lat2):
-    """Great-circle distance (meters, sphere R=6371000)."""
-    R = 6371000.0
-    p1 = np.radians(lat1)
-    p2 = np.radians(lat2)
-    dphi = p2 - p1
-    dlam = np.radians(lon2 - lon1)
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dlam / 2.0) ** 2
-    return 2 * R * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
 def partial_topk(
     point_ids: np.ndarray,
     lon: np.ndarray,
@@ -35,24 +24,14 @@ def partial_topk(
     anchors_lon: np.ndarray,
     anchors_lat: np.ndarray,
     k: int,
-    metric: str = "euclid_deg",
 ) -> pd.DataFrame:
     """Local top-k per anchor for one batch → small DataFrame
-    (anchor_id, point_id, dist)."""
-    if metric == "haversine":
-        d = _haversine_m(
-            lon[None, :], lat[None, :], anchors_lon[:, None], anchors_lat[:, None]
-        )
-    elif metric == "euclid2":
-        # squared degrees: pure +−× arithmetic — bit-identical to the
-        # SQL oracle, so ordering (and hence top-k) matches exactly
-        dx = lon[None, :] - anchors_lon[:, None]
-        dy = lat[None, :] - anchors_lat[:, None]
-        d = dx * dx + dy * dy
-    else:
-        d = np.hypot(
-            lon[None, :] - anchors_lon[:, None], lat[None, :] - anchors_lat[:, None]
-        )
+    (anchor_id, point_id, dist), dist in squared degrees: pure +−×
+    arithmetic, bit-identical to the SQL oracle, so ordering (and hence
+    top-k) matches exactly."""
+    dx = lon[None, :] - anchors_lon[:, None]
+    dy = lat[None, :] - anchors_lat[:, None]
+    d = dx * dx + dy * dy
     n = d.shape[1]
     kk = min(k, n)
     # argpartition finds the k-th distance; keep EVERY point at or
@@ -84,101 +63,3 @@ def merge_topk(partials: pd.DataFrame, k: int) -> pd.DataFrame:
     """Merge partial top-k lists → global top-k per anchor."""
     df = partials.sort_values(["anchor_id", "dist", "point_id"], kind="mergesort")
     return df.groupby("anchor_id", sort=True).head(k).reset_index(drop=True)
-
-
-def knn_dataset(ds, anchors_lon, anchors_lat, k, id_col="point_id",
-                lon_col="lon", lat_col="lat", metric="euclid_deg"):
-    """Dataset-level kNN: map_batches partial top-k → driver merge.
-    The merged set is ≤ blocks×anchors×k rows — safe to collect."""
-
-    a_lon = np.asarray(anchors_lon, dtype=np.float64)
-    a_lat = np.asarray(anchors_lat, dtype=np.float64)
-
-    def batch_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return partial_topk(
-            df[id_col].to_numpy(),
-            df[lon_col].to_numpy(dtype=np.float64),
-            df[lat_col].to_numpy(dtype=np.float64),
-            a_lon, a_lat, k, metric,
-        )
-
-    partials = ds.map_batches(batch_topk, batch_format="pandas")
-    return merge_topk(partials.to_pandas(), k)
-
-
-def knn_grouped_by_cell(ds, anchors_lon, anchors_lat, k, cell_level=4,
-                        id_col="point_id", lon_col="lon", lat_col="lat",
-                        metric="euclid_deg", n_salts=4):
-    """Cell-partitioned kNN — the LARGE-anchor-set scale path
-    (SURVEY.md M6). The broadcast `knn_dataset` variant compares every
-    batch against EVERY anchor (fine for dozens of anchors, wrong for
-    millions); this variant co-locates work by spatial cell:
-
-    1. each point gets (cell, salt) keys — the salt splits hot cells
-       into `n_salts` independent shuffle groups so a skewed cell
-       cannot serialize on one reducer;
-    2. ``groupby(cell, salt).map_groups`` computes per-group top-k
-       against ONLY the anchors whose 3×3 cell neighborhood covers the
-       group's cell (each anchor's true k-NN within its neighborhood
-       is found; anchors search their ring, the documented
-       partitioning assumption);
-    3. a bounded merge (groups × k rows per anchor) produces the
-       global answer with the same (dist, point_id) tie-break as the
-       broadcast variant.
-    """
-    from .cells import cell_xy
-
-    a_lon = np.asarray(anchors_lon, dtype=np.float64)
-    a_lat = np.asarray(anchors_lat, dtype=np.float64)
-    n_cells_x = 1 << (cell_level + 1)  # lon cells at this level
-    n_cells_y = 1 << cell_level
-
-    def _cell_of(lon, lat):
-        cx, cy = cell_xy(lon, lat, cell_level)
-        return cx.astype(np.int64) * (n_cells_y + 2) + cy.astype(np.int64)
-
-    # anchor → its 3x3 neighborhood cells (built once, broadcast via closure)
-    acx, acy = cell_xy(a_lon, a_lat, cell_level)
-    anchors_by_cell: dict[int, list[int]] = {}
-    for ai in range(len(a_lon)):
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cx = (int(acx[ai]) + dx) % n_cells_x
-                cy = int(acy[ai]) + dy
-                if 0 <= cy < n_cells_y:
-                    anchors_by_cell.setdefault(cx * (n_cells_y + 2) + cy, []).append(ai)
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        lon = df[lon_col].to_numpy(np.float64)
-        lat = df[lat_col].to_numpy(np.float64)
-        cell = _cell_of(lon, lat)
-        out = pd.DataFrame(
-            {
-                "cell": cell,
-                "salt": (df[id_col].to_numpy(np.int64) % n_salts),
-                id_col: df[id_col].to_numpy(np.int64),
-                lon_col: lon,
-                lat_col: lat,
-            }
-        )
-        # points in cells no anchor searches can be dropped pre-shuffle
-        return out[np.isin(cell, list(anchors_by_cell))]
-
-    def group_topk(df: pd.DataFrame) -> pd.DataFrame:
-        cell = int(df["cell"].iloc[0])
-        ais = anchors_by_cell.get(cell, [])
-        if not ais:
-            return pd.DataFrame({"anchor_id": [], "point_id": [], "dist": []})
-        part = partial_topk(
-            df[id_col].to_numpy(), df[lon_col].to_numpy(), df[lat_col].to_numpy(),
-            a_lon[ais], a_lat[ais], k, metric,
-        )
-        part["anchor_id"] = np.asarray(ais, dtype=np.int64)[part["anchor_id"].to_numpy()]
-        return part
-
-    partials = (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby(["cell", "salt"])
-        .map_groups(group_topk, batch_format="pandas")
-    )
-    return merge_topk(partials.to_pandas(), k)

@@ -2,7 +2,8 @@
 tag-union driver rows. Where a member query is still a live function
 of its union, these tests pin that its output equals the tagged subset
 of the union. The orphan guard keeps every ``q_*`` reachable: each one
-is registered in QUERIES or composed by another ``q_*``."""
+is registered in QUERIES or composed by another ``q_*``; the geolocate
+guard keeps one per-doc read + geolocate path (``_per_doc``)."""
 
 import ast
 import os
@@ -65,3 +66,23 @@ def test_no_orphan_queries():
     }
     assert sorted(set(bodies) - registered - composed) == []
     assert set(q.ORACLE_SQL) <= set(q.QUERIES)
+
+
+def test_one_geolocate_path():
+    """Per-doc queries geolocate through ``_per_doc`` only (the pages
+    pipeline geolocates its fixture's row_id), and the per-batch
+    geolocate helper and per-member ``tag_*`` functions stay gone."""
+    with open(q.__file__) as f:
+        tree = ast.parse(f.read())
+    callers = sorted(
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "geolocate_ids"
+    )
+    assert callers == ["_per_doc", "q_pages_pipeline"]
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_geoloc_batch" not in defined
+    assert sorted(n for n in defined if n.startswith("tag_")) == []
