@@ -1,10 +1,12 @@
-"""Approximate-nearest-neighbor search over an embedding column.
+"""Exact top-k kernels and nearest-neighbor search over embeddings.
 
-Baseline: brute-force cosine top-k per batch against a broadcast query
-matrix (one NumPy matmul per batch) + tiny partial-top-k merge — the
-same no-shuffle pattern as spatial kNN. Scale path: IVF-style coarse
-quantizer (deterministic centroids) bucketing vectors so each query
-only scans its probe buckets.
+Every ranked query shares one contract, SQL's ``ROW_NUMBER() OVER
+(PARTITION BY key ORDER BY score DESC, id) <= k``: ``topk_rows`` keeps
+each batch's top-k per query row (``topk_window``, exact on ties), and
+``top_k_per_key`` re-applies the contract to the collected partials on
+the driver — no shuffle, the merge is bounded by keys × k × batches.
+Scale path: IVF-style coarse quantizer (deterministic centroids)
+bucketing vectors so each query only scans its probe buckets.
 """
 
 from __future__ import annotations
@@ -50,51 +52,6 @@ def emb_matrix(data, id_col: str = "vec_id", vec_col: str = "embedding"):
     return ids, mat
 
 
-def cosine_topk_batch(
-    vec_ids: np.ndarray, vectors: np.ndarray, queries: np.ndarray, k: int
-) -> pd.DataFrame:
-    """Local top-k per query for one batch. vectors (N, D), queries (Q, D)."""
-    vn = _normalize(vectors.astype(np.float64))
-    qn = _normalize(queries.astype(np.float64))
-    sims = qn @ vn.T  # (Q, N)
-    n = sims.shape[1]
-    kk = min(k, n)
-    part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-    rows = []
-    for q in range(sims.shape[0]):
-        idx = part[q]
-        order = np.lexsort((vec_ids[idx], -sims[q, idx]))
-        sel = idx[order]
-        rows.append(
-            pd.DataFrame(
-                {
-                    "query_id": np.int64(q),
-                    "vec_id": vec_ids[sel],
-                    "cosine": sims[q, sel],
-                }
-            )
-        )
-    return pd.concat(rows, ignore_index=True)
-
-
-def merge_topk(partials: pd.DataFrame, k: int) -> pd.DataFrame:
-    df = partials.copy()
-    df["neg"] = -df["cosine"]
-    df = df.sort_values(["query_id", "neg", "vec_id"], kind="mergesort").drop(columns="neg")
-    return df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-
-
-def ann_dataset(ds, queries: np.ndarray, k: int, id_col="vec_id", vec_col="embedding"):
-    """Dataset-level brute-force cosine top-k (map_batches + merge)."""
-
-    def batch_fn(df: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(df[vec_col].to_numpy())
-        return cosine_topk_batch(df[id_col].to_numpy(), vecs, queries, k)
-
-    partials = ds.map_batches(batch_fn, batch_format="pandas")
-    return merge_topk(partials.to_pandas(), k)
-
-
 def topk_window(sims: np.ndarray, ids: np.ndarray, k: int):
     """Exact top-k (values, ids) per row of a (Q, N) similarity matrix,
     tie-broken (cosine desc, id asc) — the SQL ROW_NUMBER contract.
@@ -130,6 +87,27 @@ def topk_window(sims: np.ndarray, ids: np.ndarray, k: int):
         out_s[r] = sims[r, full]
         out_i[r] = ids[full]
     return out_s, out_i
+
+
+def topk_rows(sims: np.ndarray, ids: np.ndarray, k: int):
+    """``(query, id, score)`` arrays of the exact top-k per row of a
+    (Q, N) score matrix (``topk_window``). ``-inf`` entries — masked
+    candidates and short-row padding — are dropped."""
+    s, i = topk_window(sims, ids, k)
+    keep = s > -np.inf
+    q = np.broadcast_to(np.arange(len(s), dtype=np.int64)[:, None], s.shape)
+    return q[keep], i[keep], s[keep]
+
+
+def top_k_per_key(df: pd.DataFrame, key: str, score: str, id_col: str,
+                  k: int) -> pd.DataFrame:
+    """First ``k`` rows per ``key`` ordered by (``score`` desc,
+    ``id_col`` asc), with an int64 1-based ``rank``. On one batch it is
+    the partial; on the concatenated partials, the exact answer."""
+    df = df.sort_values([key, score, id_col], ascending=[True, False, True],
+                        kind="mergesort")
+    rank = df.groupby(key, sort=False, dropna=False).cumcount().to_numpy(np.int64) + 1
+    return df.assign(rank=rank)[rank <= k].reset_index(drop=True)
 
 
 class ExactPrunedKNN:

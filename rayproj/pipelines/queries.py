@@ -21,10 +21,10 @@ from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
 from ..core.factory import create_operation
 from ..core.op import FWD, INV, Coords
 from ..functions import text as textfn
-from ..functions.ann import ann_dataset
+from ..functions.ann import (ExactPrunedKNN, IVFIndex, _normalize, emb_matrix,
+                             top_k_per_key, topk_rows, topk_window)
 from ..functions.dedup import MinHasher, simhash64
 from ..spatial.cells import cell_xy
-from ..spatial.knn import merge_topk, partial_topk
 from ..spatial.polygons import PolygonIndex, make_polygons
 from ..spatial.tiles import tile_xy
 from ..stages.geolocate import geolocate_ids
@@ -642,17 +642,20 @@ def _anchors():
 
 
 def q_knn(sf_dir: str):
-    """kNN of broadcast anchors vs all docs: per-batch partial top-k,
-    tiny merge. Squared-degree metric (pure arithmetic → exact oracle)."""
+    """kNN of broadcast anchors vs all docs: per-batch top-k, driver
+    merge. Score is the negated squared-degree distance (pure
+    arithmetic → exact oracle, ties on point_id)."""
     a_lon, a_lat = _anchors()
-    partials = _per_doc(
-        sf_dir, lambda ids, lon, lat: partial_topk(ids, lon, lat, a_lon, a_lat, KNN_K)
-    )
-    merged = merge_topk(partials.to_pandas(), KNN_K)
-    merged["rank"] = merged.groupby("anchor_id").cumcount() + 1
-    return merged[["anchor_id", "rank", "point_id"]].astype(
-        {"anchor_id": "int64", "rank": "int64", "point_id": "int64"}
-    )
+
+    def kernel(ids, lon, lat):
+        dx = lon[None, :] - a_lon[:, None]
+        dy = lat[None, :] - a_lat[:, None]
+        a, pid, score = topk_rows(-(dx * dx + dy * dy), ids, KNN_K)
+        return {"anchor_id": a, "point_id": pid, "score": score}
+
+    top = top_k_per_key(_per_doc(sf_dir, kernel).to_pandas(), "anchor_id",
+                        "score", "point_id", KNN_K)
+    return top[["anchor_id", "rank", "point_id"]].astype("int64")
 
 
 SQL_KNN = f"""
@@ -1117,27 +1120,14 @@ FROM documents GROUP BY 1 ORDER BY 1
 
 def q_source_top_chars(sf_dir: str):
     """Per-key top-k (rank window): 3 longest docs per source. Each
-    batch emits its local top-3 per source (bounded partials), the
-    final per-source rank resolves in one tiny groupby — the
-    standard distributed top-k-per-key shape."""
-
-    def local_top(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["source", "n_chars", "doc_id"],
-                            ascending=[True, False, True], kind="mergesort")
-        return df.groupby("source", sort=False).head(3)
-
+    batch keeps its local top-3 per source; source keys are bounded, so
+    the partials merge on the driver with the same ``top_k_per_key``."""
+    top3 = functools.partial(top_k_per_key, key="source", score="n_chars",
+                             id_col="doc_id", k=3)
     partials = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"]).map_batches(
-        local_top, batch_format="pandas"
+        top3, batch_format="pandas"
     )
-
-    def final_top(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["n_chars", "doc_id"], ascending=[False, True],
-                            kind="mergesort").head(3)
-        df = df.reset_index(drop=True)
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df[["source", "rank", "doc_id", "n_chars"]]
-
-    return partials.groupby("source").map_groups(final_top, batch_format="pandas")
+    return top3(partials.to_pandas())[["source", "rank", "doc_id", "n_chars"]]
 
 
 SQL_SOURCE_TOP_CHARS = """
@@ -1815,19 +1805,44 @@ SELECT vec_id, CAST(k AS BIGINT) AS cluster FROM a3 ORDER BY vec_id
 SQL_KMEANS_EMBED = _kmeans_sql()
 
 
-def q_ann_cosine(sf_dir: str):
-    """Brute-force cosine top-k of the first 5 embeddings vs all."""
+def _vectors_below(sf_dir: str, n: int):
+    """(ids, matrix) of the embeddings with ``vec_id < n``, in vec_id
+    order: the oracles' query and centroid sets, whatever the file
+    order."""
     import pyarrow.parquet as pq
 
-    from ..functions.ann import emb_matrix
-
     tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    _, emb = emb_matrix(tbl.slice(0, 5))
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_dataset(ds, emb, KNN_K + 1, id_col="vec_id", vec_col="embedding")
-    out["rank"] = out.groupby("query_id").cumcount() + 1
+                        columns=["vec_id", "embedding"],
+                        filters=[("vec_id", "<", n)]).sort_by("vec_id")
+    return emb_matrix(tbl)
+
+
+def _cosine_topk(sf_dir: str, qids, queries, mask=None):
+    """Exact cosine top-(KNN_K + 1) of ``queries`` vs all embeddings:
+    per-batch ``topk_rows``, driver ``top_k_per_key``. ``mask(vecs)``
+    returns the (Q, N) candidates kept; the rest score ``-inf``. einsum,
+    not a BLAS matmul: each cosine is then the same bits wherever its
+    vector sits in whichever batch, so exact ties stay ties."""
+    qn = _normalize(queries)
+
+    def fn(batch: pa.Table) -> pa.Table:
+        ids, vecs = emb_matrix(batch)
+        sims = np.einsum("qd,nd->qn", qn, _normalize(vecs))
+        if mask is not None:
+            sims[~mask(vecs)] = -np.inf
+        q, vid, cos = topk_rows(sims, ids, KNN_K + 1)
+        return pa.table({"query_id": qids[q], "vec_id": vid, "cosine": cos})
+
+    partials = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        fn, batch_format="pyarrow")
+    out = top_k_per_key(partials.to_pandas(), "query_id", "cosine", "vec_id",
+                        KNN_K + 1)
     return out[["query_id", "rank", "vec_id"]].astype("int64")
+
+
+def q_ann_cosine(sf_dir: str):
+    """Brute-force cosine top-k of the embeddings with vec_id < 5 vs all."""
+    return _cosine_topk(sf_dir, *_vectors_below(sf_dir, 5))
 
 
 SQL_ANN = f"""
@@ -1856,8 +1871,6 @@ def _knn_join_impl(sf_dir: str, use_ivf: bool | None = None):
     tests can pin both (None = auto by corpus size)."""
     import pyarrow.parquet as pq
     import ray
-
-    from ..functions.ann import ExactPrunedKNN, emb_matrix, topk_window
 
     tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
                         columns=["vec_id", "embedding"])
@@ -2061,17 +2074,9 @@ def q_embed_neardup(sf_dir: str):
     is plan-exact at any scale; at the validation scales the bucketed
     result also equals the exhaustive all-pairs result (measured
     recall 100%, nprobe is the recall/cost knob)."""
-    from ..functions.ann import IVFIndex, _normalize
-
     THRESH = 0.4
     NPROBE = 4
-    cents_df = (
-        _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .filter(expr="vec_id < 8")
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    index = IVFIndex(np.stack(cents_df["embedding"].to_numpy()))
+    index = IVFIndex(_vectors_below(sf_dir, 8)[1])
 
     def probe_rows(df: pd.DataFrame) -> pd.DataFrame:
         vecs = np.stack(df["embedding"].to_numpy()).astype(np.float64)
@@ -2138,44 +2143,20 @@ ORDER BY vec_a, vec_b
 
 def q_ann_ivf(sf_dir: str):
     """IVF-bucketed ANN (the 100-TB scale path): coarse quantizer =
-    first 8 embeddings as deterministic centroids, vectors bucketed by
+    the embeddings with vec_id < 8 as deterministic centroids, vectors bucketed by
     top-1 centroid per batch, each query scanning only its nprobe=3
     probe buckets. Exactly SQL-expressible, so the bucketing AND the
     per-bucket top-k are oracle-checked (not just recall)."""
-    import pyarrow.parquet as pq
-
-    from ..functions.ann import (IVFIndex, cosine_topk_batch, emb_matrix,
-                                 merge_topk as ann_merge)
-
     NPROBE = 3
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    _, head = emb_matrix(tbl.slice(0, 8))
-    queries = head[:5]
+    cids, head = _vectors_below(sf_dir, 8)
     index = IVFIndex(head)
+    qids, queries = cids[cids < 5], head[cids < 5]
     probes = index.probe_lists(queries, NPROBE)  # (5, 3)
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(df["embedding"].to_numpy())
-        ids = df["vec_id"].to_numpy()
-        buckets = index.assign(vecs)
-        parts = []
-        for q in range(len(queries)):
-            mask = np.isin(buckets, probes[q])
-            if not mask.any():
-                continue
-            sub = cosine_topk_batch(ids[mask], vecs[mask], queries[q:q + 1], KNN_K + 1)
-            sub["query_id"] = np.int64(q)
-            parts.append(sub)
-        if not parts:
-            return pd.DataFrame({"query_id": [], "vec_id": [], "cosine": []})
-        return pd.concat(parts, ignore_index=True)
+    def in_probes(vecs):
+        return (index.assign(vecs)[None, :, None] == probes[:, None, :]).any(axis=2)
 
-    partials = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        fn, batch_format="pandas"
-    )
-    out = ann_merge(partials.to_pandas(), KNN_K + 1)
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    return out[["query_id", "rank", "vec_id"]].astype("int64")
+    return _cosine_topk(sf_dir, qids, queries, in_probes)
 
 
 SQL_ANN_IVF = f"""
@@ -3237,15 +3218,8 @@ def q_tfidf_top(sf_dir: str):
         * np.log(float(n_docs) / j["df"].to_numpy(np.float64))
         * 1e6
     ).astype(np.int64)
-    j = j.sort_values(
-        ["source", "score_micro", "term"], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    j["rank"] = j.groupby("source").cumcount() + 1
-    out = j[j["rank"] <= 3][["source", "rank", "term", "score_micro"]]
-    return out.reset_index(drop=True).astype(
-        {"rank": "int64", "score_micro": "int64"}
-    )
+    out = top_k_per_key(j, "source", "score_micro", "term", 3)
+    return out[["source", "rank", "term", "score_micro"]]
 
 
 SQL_TFIDF_TOP = """
@@ -3836,7 +3810,7 @@ def q_source_profile(sf_dir: str):
     bounded by source cardinality, so the join is a driver-side merge
     of two already-aggregated small results."""
     stats = q_source_stats(sf_dir).to_pandas()
-    top = q_source_top_chars(sf_dir).to_pandas()
+    top = q_source_top_chars(sf_dir)
     out = top.merge(stats, on="source")
     return out[["source", "rank", "doc_id", "n_chars",
                 "n_docs", "total_chars", "min_doc_id"]]

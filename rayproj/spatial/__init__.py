@@ -1,6 +1,6 @@
 """Spatial-join + tiling layer (north rule, SURVEY.md §2.5/M6).
 
 New engine-side design (no reference equivalent): hierarchical cell
-encoding, web-mercator tile assignment, point-in-polygon against an
-actor-held index, and kNN via per-batch partial top-k + small merge.
+encoding, web-mercator tile assignment, point-in-polygon against a
+per-worker cached index; kNN uses the shared ``functions/ann`` top-k.
 """

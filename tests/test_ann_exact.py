@@ -1,11 +1,13 @@
-"""Exact-kNN kernels: tie-safe windowed top-k and the IVF-pruned
-branch-and-bound index must agree bit-for-bit with brute force."""
+"""Exact-kNN kernels: tie-safe windowed top-k, its per-key merge and
+the IVF-pruned branch-and-bound index must agree bit-for-bit with brute
+force, and the ranked embedding queries with their SQL oracles."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from rayproj.functions.ann import ExactPrunedKNN, emb_matrix, topk_window
+from rayproj.functions.ann import (ExactPrunedKNN, emb_matrix, top_k_per_key,
+                                   topk_rows, topk_window)
 
 
 def brute_topk_ids(sims, ids, k):
@@ -33,6 +35,16 @@ def test_topk_window_massive_ties():
     np.testing.assert_array_equal(i, brute_topk_ids(sims, ids, k))
     # the tied tail picks the SMALLEST ids (0,1,2,...)
     assert set(i[0, 10:]) == {0, 1, 2, 3, 4}
+    # split batches: per-half partials merged by top_k_per_key equal one
+    # pass over the whole input, the tied tail included
+    df = pd.DataFrame({"q": np.repeat(np.arange(3), 500),
+                       "id": np.tile(ids, 3), "s": sims.ravel()})
+    parts = [top_k_per_key(h, "q", "s", "id", k) for _, h in df.groupby(df["id"] % 2)]
+    merged = top_k_per_key(pd.concat(parts), "q", "s", "id", k)
+    pd.testing.assert_frame_equal(merged, top_k_per_key(df, "q", "s", "id", k))
+    np.testing.assert_array_equal(merged["id"].to_numpy().reshape(3, k), i)
+    np.testing.assert_array_equal(merged["rank"], np.tile(np.arange(1, k + 1), 3))
+    np.testing.assert_array_equal(topk_rows(sims, ids, k)[1], merged["id"])
 
 
 def test_topk_window_short_rows():
@@ -41,6 +53,8 @@ def test_topk_window_short_rows():
     s, i = topk_window(sims, ids, 4)
     assert list(i[0, :2]) == [7, 3]
     assert np.isinf(s[0, 2:]).all() and (s[0, 2:] < 0).all()
+    q, i, s = topk_rows(sims, ids, 4)  # the -inf padding is dropped
+    assert list(q) == [0, 0] and list(i) == [7, 3] and list(s) == [0.5, 0.1]
 
 
 def test_exact_pruned_knn_matches_brute():
@@ -100,3 +114,34 @@ def test_knn_join_paths_agree(ray_session):
          .sort_values(["vec_id", "rank"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
+
+
+@pytest.mark.parametrize("query", ["ann_cosine", "ann_ivf"])
+@pytest.mark.parametrize("variant", ["shuffled", "tied"])
+def test_ann_queries_match_oracle(ray_session, sf_dir, tmp_path, query, variant):
+    """Query vectors are chosen by vec_id, not file position, and the
+    k-th place keeps exact ties (cosine desc, vec_id asc)."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from rayproj.pipelines import queries as q
+
+    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet")
+    if variant == "shuffled":
+        tbl = tbl.take(np.random.default_rng(6).permutation(len(tbl)))
+    else:
+        # rows 100-139 become exact copies of the 5 query vectors: each
+        # query ties with 8 copies of itself across its whole top-k
+        src = np.arange(len(tbl))
+        src[100:140] = np.argsort(tbl.column("vec_id").to_numpy())[np.arange(40) % 5]
+        emb = tbl.schema.get_field_index("embedding")
+        tbl = tbl.set_column(emb, "embedding", tbl.column("embedding").take(src))
+    pq.write_table(tbl, tmp_path / "embeddings.parquet")
+    fn, sql = {"ann_cosine": (q.q_ann_cosine, q.SQL_ANN),
+               "ann_ivf": (q.q_ann_ivf, q.SQL_ANN_IVF)}[query]
+    con = duckdb.connect()
+    con.execute("CREATE VIEW embeddings AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/embeddings.parquet')")
+    want = con.execute(sql).df().astype("int64")
+    got = fn(str(tmp_path)).sort_values(["query_id", "rank"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)

@@ -3,7 +3,8 @@ tag-union driver rows. Where a member query is still a live function
 of its union, these tests pin that its output equals the tagged subset
 of the union. The orphan guard keeps every ``q_*`` reachable: each one
 is registered in QUERIES or composed by another ``q_*``; the geolocate
-guard keeps one per-doc read + geolocate path (``_per_doc``)."""
+guard keeps one per-doc read + geolocate path (``_per_doc``); the
+top-k guard keeps one per-batch top-k kernel (``ann.topk_window``)."""
 
 import ast
 import os
@@ -86,3 +87,39 @@ def test_one_geolocate_path():
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "_geoloc_batch" not in defined
     assert sorted(n for n in defined if n.startswith("tag_")) == []
+
+
+def test_one_topk_path():
+    """The ranked queries share one top-k kernel (``ann.topk_window``)
+    and one per-key merge: no other ``argpartition``, no kNN module,
+    none of the replaced top-k copies, no source top-3 shuffle."""
+    def n_argpartition(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "argpartition"
+                   for n in ast.walk(node))
+
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    total, inside, defined = 0, 0, set()
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                tree = ast.parse(f.read())
+            total += n_argpartition(tree)
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    defined.add(fn.name)
+                    if (os.path.relpath(path, root), fn.name) == (
+                            os.path.join("functions", "ann.py"), "topk_window"):
+                        inside += n_argpartition(fn)
+    assert total == inside > 0
+    assert not os.path.exists(os.path.join(root, "spatial", "knn.py"))
+    gone = {"partial_topk", "cosine_topk_batch", "merge_topk", "ann_dataset"}
+    assert defined & gone == set()
+    with open(q.__file__) as f:
+        tree = ast.parse(f.read())
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "q_source_top_chars")
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "map_groups"
+                   for n in ast.walk(fn))
