@@ -22,7 +22,7 @@ from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
 from ..core.factory import create_operation
 from ..core.op import FWD, Coords
 from ..spatial.cells import cell_id
-from ..spatial.polygons import PolygonIndex, make_polygons
+from ..spatial.polygons import layer_index
 from ..spatial.tiles import tile_id
 from ..stages.geolocate import geolocate_batch_arrow
 
@@ -50,7 +50,7 @@ class FlagshipStage:
         self.cell_level = cell_level
         self.zoom = zoom
         self.op = create_operation(projstring)
-        self.pip = PolygonIndex(make_polygons(n_polys))
+        self.pip = layer_index(n_polys)
 
     # Process blocks in cache-resident sub-chunks: the kernel chain makes
     # dozens of float64 passes, and at 64k rows (512 KB/array) the working

@@ -25,7 +25,7 @@ from ..functions.ann import (ExactPrunedKNN, IVFIndex, _normalize, emb_matrix,
                              top_k_per_key, topk_rows, topk_window)
 from ..functions.dedup import MinHasher, simhash64
 from ..spatial.cells import cell_xy
-from ..spatial.polygons import PolygonIndex, make_polygons
+from ..spatial.polygons import layer_index
 from ..spatial.tiles import tile_xy
 from ..stages.geolocate import geolocate_ids
 from .flagship import merge_partials
@@ -41,15 +41,6 @@ def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
 
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-@functools.cache
-def _poly_index(n_polys: int) -> PolygonIndex:
-    """This worker process's polygon index: stateless-task stages build
-    it once per worker, not once per batch — same amortization as an
-    actor pool, but the scheduler stays fully elastic (the same pattern
-    as flagship.cached_stage)."""
-    return PolygonIndex(make_polygons(n_polys))
 
 
 def _elastic_actors(cap: int = 64) -> tuple:
@@ -610,7 +601,7 @@ def q_zonal_stats(sf_dir: str):
     ``merge_partials`` sums them on the driver."""
 
     def partial(ids, lon, lat):
-        pid = _poly_index(N_POLYS).assign(lon, lat).astype(np.int64)
+        pid = layer_index(N_POLYS).assign(lon, lat).astype(np.int64)
         shifted = pid + 1  # -1 (no polygon) → bin 0
         n = np.bincount(shifted, minlength=N_POLYS + 1)
         s = np.bincount(shifted, weights=ids.astype(np.float64),
@@ -3534,7 +3525,7 @@ def q_spatial_assign(sf_dir: str):
     def kernel(ids, lon, lat):
         tx, ty = tile_xy(lon, lat, ZOOM)
         cx, cy = cell_xy(lon, lat, CELL_LEVEL)
-        pid = _poly_index(N_POLYS).assign(lon, lat)
+        pid = layer_index(N_POLYS).assign(lon, lat)
         return {
             "doc_id": ids,
             "tile_x": tx,

@@ -5,14 +5,18 @@ polygon id — convex, non-degenerate, so the driver's SQL oracle can
 verify containment with a cross-product sign test while the engine
 uses the generic even-odd crossing test.
 
-PolygonIndex is the actor-held side input (pattern: the reference's
-tinshift quadtree → candidate triangles → exact test,
-/root/reference/src/transformations/tinshift_impl.hpp:405-470): a
-coarse-cell bucket map prunes candidates, then the exact test runs
-vectorized per candidate polygon over the masked point subset.
+PolygonIndex is a covering-cell index (GeoBlocks, EDBT 2021): a grid
+whose level comes from the layer covers each polygon's bounding box.
+A cell that lies wholly inside a polygon is *interior* to it and
+answers with no ray-cast; only the *boundary* candidates that could
+beat a cell's lowest interior id run the exact test, vectorized over
+(point, candidate) pairs. ``layer_index`` keeps one index per worker
+process.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,111 +65,179 @@ def point_in_ring(verts: np.ndarray, lon: np.ndarray, lat: np.ndarray) -> np.nda
     return inside
 
 
-class PolygonIndex:
-    """Actor-held PIP index: coarse-cell → candidate polygon ids.
+# Sentinel "no interior polygon" id: above every real id, so a boundary
+# candidate can always beat it.
+_NONE = np.iinfo(np.int32).max
+# Interior cells are tested grown by this margin, so a point that
+# rounds into a cell from just outside it is still inside the polygon;
+# bounding circles are grown by it too.
+_MARGIN = 1e-9
 
-    Built once in an actor's __init__ (or per worker on first batch);
-    ``assign`` is fully vectorized. At 100 TB scale the polygon layer is
-    broadcast via ray.put once and each actor builds the bucket map from
-    it — no shuffle; points never move.
+
+def _grid_xy(lon: np.ndarray, lat: np.ndarray, n: int):
+    """Float column and row of the n×n grid cell holding each point,
+    clipped into the grid. Points and polygon bounding boxes both use
+    this, so a point inside a bbox always lands in one of its cells."""
+    cx = np.clip(np.floor((lon + 180.0) / 360.0 * n), 0, n - 1)
+    cy = np.clip(np.floor((lat + 90.0) / 180.0 * n), 0, n - 1)
+    return cx, cy
+
+
+def _expand(a: np.ndarray, b: np.ndarray):
+    """Enumerate an a[k] × b[k] block per polygon k with no Python
+    loop: returns each entry's polygon k and position r in its block
+    (the block's (r // b[k], r % b[k]) entry), and each block's start
+    in the flat enumeration."""
+    size = a * b
+    start = np.cumsum(size) - size
+    k = np.repeat(np.arange(len(size)), size)
+    r = np.arange(int(size.sum())) - start[k]
+    return k, r, start
+
+
+def _pairs_inside(verts: np.ndarray, q: np.ndarray, px: np.ndarray,
+                  py: np.ndarray) -> np.ndarray:
+    """``point_in_ring``'s even-odd test of each point (px[i], py[i])
+    against ring ``verts[q[i]]``, in one sweep over the ring edges."""
+    V = verts.shape[1]
+    inside = np.zeros(len(q), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(V):
+            x1 = verts[q, i, 0]
+            y1 = verts[q, i, 1]
+            x2 = verts[q, (i + 1) % V, 0]
+            y2 = verts[q, (i + 1) % V, 1]
+            crosses = (y1 > py) != (y2 > py)
+            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= crosses & (px < xint)
+    return inside
+
+
+class PolygonIndex:
+    """Covering-cell PIP index over a polygon layer.
+
+    Ids are row positions in the layer (``poly_id`` is ``arange``), and
+    ``radius`` bounds each ring around (``cx``, ``cy``). The grid level
+    is the smallest whose cell side is at most half the median polygon
+    bbox width, clipped to 4..10: finer grids make more cells interior
+    but the build grows with the cell count. Each cell stores its
+    lowest interior id in ``_win`` and, in one CSR, the boundary
+    candidates below it in ascending order. Cell ``n*n`` is an empty
+    cell that non-finite points map to.
     """
 
-    def __init__(self, polys: dict, index_level: int = 4):
+    def __init__(self, polys: dict):
         self.polys = polys
-        self.level = index_level
-        buckets: dict[int, list[int]] = {}
         verts = polys["verts"]
-        n = 1 << index_level
-        for p in range(len(polys["poly_id"])):
-            vx = verts[p, :, 0]
-            vy = verts[p, :, 1]
-            x0 = int(np.floor((vx.min() + 180.0) / 360.0 * n))
-            x1 = int(np.floor((vx.max() + 180.0) / 360.0 * n))
-            y0 = int(np.floor((vy.min() + 90.0) / 180.0 * n))
-            y1 = int(np.floor((vy.max() + 90.0) / 180.0 * n))
-            for cx in range(max(x0, 0), min(x1, n - 1) + 1):
-                for cy in range(max(y0, 0), min(y1, n - 1) + 1):
-                    key = (cx << 32) | cy
-                    buckets.setdefault(key, []).append(p)
-        # dense CSR grid over the n×n cells: per-cell candidate count +
-        # offset into one flat ascending candidate array — pair
-        # expansion in assign() becomes pure repeat/cumsum arithmetic
-        # (no argsort of the point keys, no per-bucket Python loop)
-        counts = np.zeros(n * n, dtype=np.int64)
-        offsets = np.zeros(n * n + 1, dtype=np.int64)
-        flat: list = []
-        for cell in range(n * n):
-            key = ((cell // n) << 32) | (cell % n)
-            cands = buckets.get(key)
-            offsets[cell] = len(flat)
-            if cands:
-                counts[cell] = len(cands)
-                flat.extend(cands)
-        offsets[n * n] = len(flat)
-        self._grid_counts = counts
-        self._grid_offsets = offsets[:-1]
-        self._grid_flat = np.asarray(flat, dtype=np.int64)
+        V = verts.shape[1]
+        vx, vy = verts[:, :, 0], verts[:, :, 1]
+        xmin, xmax = vx.min(axis=1), vx.max(axis=1)
+        half = np.median(xmax - xmin) / 2 if len(verts) else 180.0
+        with np.errstate(divide="ignore"):
+            level = np.ceil(np.log2(360.0 / half))
+        self.level = int(np.clip(level, 4, 10))
+        n = 1 << self.level
+        wx, wy = 360.0 / n, 180.0 / n
+        x0, y0 = (a.astype(np.int64) for a in _grid_xy(xmin, vy.min(axis=1), n))
+        x1, y1 = (a.astype(np.int64) for a in _grid_xy(xmax, vy.max(axis=1), n))
+        nx, ny = x1 - x0 + 1, y1 - y0 + 1
+
+        # even-odd test of every bbox grid vertex, once per polygon
+        k, r, vstart = _expand(nx + 1, ny + 1)
+        gx = -180.0 + (x0[k] + r // (ny[k] + 1)) * wx
+        gy = -90.0 + (y0[k] + r % (ny[k] + 1)) * wy
+        inside = _pairs_inside(verts, k, gx, gy)
+
+        # every (polygon, bbox cell) pair; interior needs 4 inside corners
+        k, r, _ = _expand(nx, ny)
+        i, j = r // ny[k], r % ny[k]
+        up = ny[k] + 1
+        corner = vstart[k] + i * up + j
+        col, row = x0[k] + i, y0[k] + j
+        # a clipped edge cell also holds points beyond the grid, which
+        # its corners say nothing about
+        cand = np.flatnonzero(
+            inside[corner] & inside[corner + 1]
+            & inside[corner + up] & inside[corner + up + 1]
+            & (col > 0) & (col < n - 1) & (row > 0) & (row < n - 1))
+        # ... and no ring edge may touch the grown cell: bbox overlap,
+        # and the cell's corners not all on one side of the edge's line
+        kc = k[cand]
+        bx0 = -180.0 + col[cand] * wx - _MARGIN
+        by0 = -90.0 + row[cand] * wy - _MARGIN
+        bx1, by1 = bx0 + wx + 2 * _MARGIN, by0 + wy + 2 * _MARGIN
+        touched = np.zeros(len(cand), dtype=bool)
+        for e in range(V):
+            ax, ay = verts[kc, e, 0], verts[kc, e, 1]
+            bx, by = verts[kc, (e + 1) % V, 0], verts[kc, (e + 1) % V, 1]
+            hit = ((np.minimum(ax, bx) <= bx1) & (np.maximum(ax, bx) >= bx0)
+                   & (np.minimum(ay, by) <= by1) & (np.maximum(ay, by) >= by0))
+            dx, dy = bx - ax, by - ay
+            side = [dx * (py - ay) - dy * (px - ax)
+                    for px in (bx0, bx1) for py in (by0, by1)]
+            above = (side[0] > 0) & (side[1] > 0) & (side[2] > 0) & (side[3] > 0)
+            below = (side[0] < 0) & (side[1] < 0) & (side[2] < 0) & (side[3] < 0)
+            touched |= hit & ~above & ~below
+        interior = cand[~touched]
+
+        cell = col * n + row
+        win = np.full(n * n + 1, _NONE, dtype=np.int32)
+        np.minimum.at(win, cell[interior], k[interior].astype(np.int32))
+        boundary = np.ones(len(k), dtype=bool)
+        boundary[interior] = False
+        boundary &= k < win[cell]
+        bcell = cell[boundary]
+        # pairs run in ascending polygon order, so a stable sort by cell
+        # keeps each cell's candidates ascending
+        order = np.argsort(bcell, kind="stable")
+        self._win = win
+        self._counts = np.bincount(bcell, minlength=n * n + 1)
+        self._offsets = np.cumsum(self._counts) - self._counts
+        self._flat = k[boundary][order]
 
     def assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         """Per-point polygon id (lowest matching poly_id), −1 if none.
 
-        Pair expansion is pure index arithmetic against the dense CSR
-        cell grid (per-point candidate count + offset into one flat
-        ascending candidate array) — no argsort of the point keys, no
-        per-bucket Python loop; the (point, candidate) pairs across
-        ALL cells are then tested in a SINGLE vectorized even-odd
-        sweep over the ring edges. Lowest-id wins via minimum.at
-        (cell candidate lists are ascending, so this equals the
-        first-match-in-order contract)."""
+        Each point starts from its cell's lowest interior id. Then only
+        the cell's boundary candidates, all below that id, go through
+        the bounding-circle prefilter and one vectorized even-odd sweep
+        over the ring edges, and any hit wins via ``minimum.at``.
+        Non-finite points map to the empty cell, so they get −1, as
+        ``point_in_ring`` gives them."""
         n = 1 << self.level
-        cx = np.clip(np.floor((lon + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-        cy = np.clip(np.floor((lat + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-        cell = cx * n
-        cell += cy
-        out = np.full(len(lon), -1, dtype=np.int32)
-        verts = self.polys["verts"]
-        pids = self.polys["poly_id"]
-        nc = self._grid_counts[cell]
+        cx, cy = _grid_xy(lon, lat, n)
+        cell = cx * n + cy
+        cell[~(np.isfinite(lon) & np.isfinite(lat))] = n * n
+        cell = cell.astype(np.int64)
+        best = self._win[cell]
+        nc = self._counts[cell]
         total = int(nc.sum())
-        if total == 0:
-            return out
         # P: point index repeated per candidate; Q: flat[offset + rank]
         P = np.repeat(np.arange(len(lon), dtype=np.int64), nc)
         ends = np.cumsum(nc)
         rank = np.arange(total, dtype=np.int64)
         rank -= np.repeat(ends - nc, nc)
-        Q = self._grid_flat[np.repeat(self._grid_offsets[cell], nc) + rank]
-        # bounding-circle prefilter: every polygon is a k-gon whose
-        # vertices lie ON the circle (cx, cy, radius), so a point
-        # outside that circle cannot be inside the ring — dropping
-        # those pairs is outcome-identical and skips the 6-edge
-        # even-odd sweep (≈9 array passes per edge) for the ~75% of
-        # candidate pairs a coarse 16×16 bucket can't reject itself
+        Q = self._flat[np.repeat(self._offsets[cell], nc) + rank]
+        # a point outside a ring's bounding circle cannot be inside
+        # it; the margin keeps vertices that round outside the circle
         px = lon[P]
         py = lat[P]
         dx = px - self.polys["cx"][Q]
         dy = py - self.polys["cy"][Q]
-        rq = self.polys["radius"][Q]
+        rq = self.polys["radius"][Q] + _MARGIN
         keep = dx * dx + dy * dy <= rq * rq
         P = P[keep]
         Q = Q[keep]
         px = px[keep]
         py = py[keep]
-        V = verts.shape[1]
-        inside = np.zeros(len(P), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(V):
-                x1 = verts[Q, i, 0]
-                y1 = verts[Q, i, 1]
-                x2 = verts[Q, (i + 1) % V, 0]
-                y2 = verts[Q, (i + 1) % V, 1]
-                crosses = (y1 > py) != (y2 > py)
-                xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-                inside ^= crosses & (px < xint)
-        hit = np.flatnonzero(inside)
-        if len(hit):
-            best = np.full(len(lon), np.iinfo(np.int32).max, dtype=np.int32)
-            np.minimum.at(best, P[hit], pids[Q[hit]])
-            found = best != np.iinfo(np.int32).max
-            out[found] = best[found]
-        return out
+        hit = np.flatnonzero(_pairs_inside(self.polys["verts"], Q, px, py))
+        np.minimum.at(best, P[hit], Q[hit].astype(np.int32))
+        return np.where(best == _NONE, np.int32(-1), best)
+
+
+@functools.cache
+def layer_index(n_polys: int) -> PolygonIndex:
+    """This worker process's index over ``make_polygons(n_polys)``: the
+    flagship stage and the spatial queries build it once per worker,
+    not once per batch."""
+    return PolygonIndex(make_polygons(n_polys))

@@ -4,7 +4,8 @@ of its union, these tests pin that its output equals the tagged subset
 of the union. The orphan guard keeps every ``q_*`` reachable: each one
 is registered in QUERIES or composed by another ``q_*``; the geolocate
 guard keeps one per-doc read + geolocate path (``_per_doc``); the
-top-k guard keeps one per-batch top-k kernel (``ann.topk_window``)."""
+top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
+polygon-index guard keeps one per-worker ``PolygonIndex`` build."""
 
 import ast
 import os
@@ -123,3 +124,30 @@ def test_one_topk_path():
               if isinstance(n, ast.FunctionDef) and n.name == "q_source_top_chars")
     assert not any(isinstance(n, ast.Attribute) and n.attr == "map_groups"
                    for n in ast.walk(fn))
+
+
+def test_one_polygon_index():
+    """The flagship stage and the spatial queries share one per-worker
+    polygon index: inside ``rayproj/`` only ``polygons.layer_index``
+    builds a ``PolygonIndex``."""
+    def n_builds(node):
+        return sum(isinstance(n, ast.Call) and getattr(
+            n.func, "id", getattr(n.func, "attr", None)) == "PolygonIndex"
+            for n in ast.walk(node))
+
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    total, inside = 0, 0
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                tree = ast.parse(f.read())
+            total += n_builds(tree)
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and (
+                        os.path.relpath(path, root), fn.name) == (
+                        os.path.join("spatial", "polygons.py"), "layer_index"):
+                    inside += n_builds(fn)
+    assert total == inside == 1

@@ -183,9 +183,10 @@ def test_tin_assign_matches_bruteforce(k, seed):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_pip_matches_bruteforce(n_polys, n_vertices, seed):
-    """The CSR-bucketed PIP with circle prefilter equals a full scan
-    (lowest matching poly id via the same even-odd test) for random
-    layer shapes and point clouds."""
+    """The covering-cell PIP index equals a full scan (lowest matching
+    poly id via the same even-odd test) for random layer shapes and
+    point clouds, with lanes on polygon centres, on grid-cell corners
+    and edges at the index's level, and on ring vertices."""
     from rayproj.spatial.polygons import (PolygonIndex, make_polygons,
                                           point_in_ring)
 
@@ -198,12 +199,96 @@ def test_pip_matches_bruteforce(n_polys, n_vertices, seed):
     # polygon centers + vertices as boundary lanes
     lon[: min(8, n_polys)] = polys["cx"][: min(8, n_polys)]
     lat[: min(8, n_polys)] = polys["cy"][: min(8, n_polys)]
+    # grid lines near random polygons: 64 corners, 64 lanes on vertical
+    # and 64 on horizontal cell edges
+    cells = 1 << idx.level
+    p = rng.integers(0, n_polys, 192)
+    off = polys["radius"][p, None] * rng.uniform(-1.2, 1.2, (192, 2))
+    near_x, near_y = polys["cx"][p] + off[:, 0], polys["cy"][p] + off[:, 1]
+    grid_x = -180.0 + np.round((near_x + 180.0) / 360.0 * cells) * (360.0 / cells)
+    grid_y = -90.0 + np.round((near_y + 90.0) / 180.0 * cells) * (180.0 / cells)
+    lon[8:72], lat[8:72] = grid_x[:64], grid_y[:64]
+    lon[72:136], lat[72:136] = grid_x[64:128], near_y[64:128]
+    lon[136:200], lat[136:200] = near_x[128:], grid_y[128:]
+    ring_v = polys["verts"].reshape(-1, 2)[rng.integers(0, n_polys * n_vertices, 64)]
+    lon[200:264], lat[200:264] = ring_v[:, 0], ring_v[:, 1]
     got = idx.assign(lon, lat)
     expect = np.full(n, -1, dtype=np.int32)
     for p in range(n_polys - 1, -1, -1):
         m = point_in_ring(polys["verts"][p], lon, lat)
         expect[m] = polys["poly_id"][p]
     np.testing.assert_array_equal(got, expect)
+
+
+def test_pip_non_finite_lanes():
+    """NaN and ±inf in either coordinate give −1, as ``point_in_ring``
+    does; a NaN latitude once indexed the cell grid with INT64_MIN."""
+    from rayproj.spatial.polygons import (PolygonIndex, make_polygons,
+                                          point_in_ring)
+
+    polys = make_polygons(60)
+    x, y = polys["cx"][0], polys["cy"][0]
+    bad = [np.nan, np.inf, -np.inf]
+    lon = np.array([x, x, x, *bad, np.nan, x])
+    lat = np.array([*bad, y, y, y, np.nan, y])
+    got = PolygonIndex(polys).assign(lon, lat)
+    assert got.tolist() == [-1] * 7 + [0]
+    assert point_in_ring(polys["verts"][0], lon, lat).tolist() == [False] * 7 + [True]
+
+
+def test_pip_notch_across_corner_inside_cell():
+    """A non-convex ring with a thin exterior notch across a whole cell
+    whose 4 corners are inside: the cell must not answer as interior,
+    and every lane matches ``point_in_ring``."""
+    from rayproj.spatial.polygons import PolygonIndex, point_in_ring
+
+    ring = np.array([(0, 0), (20, 0), (20, 7.0), (3, 7.0), (3, 7.01),
+                     (20, 7.01), (20, 20), (0, 20)], dtype=np.float64)
+    polys = {"poly_id": np.zeros(1, dtype=np.int32), "cx": np.array([10.0]),
+             "cy": np.array([10.0]), "radius": np.array([np.hypot(10.0, 10.0)]),
+             "verts": ring[None]}
+    idx = PolygonIndex(polys)
+    wx, wy = 360.0 / (1 << idx.level), 180.0 / (1 << idx.level)
+    x0 = -180.0 + np.floor((8.0 + 180.0) / wx) * wx
+    y0 = -90.0 + np.floor((7.005 + 90.0) / wy) * wy
+    assert 3.0 < x0 and x0 + wx < 20.0 and y0 < 7.0 and 7.01 < y0 + wy
+    assert point_in_ring(ring, np.array([x0, x0 + wx, x0, x0 + wx]),
+                         np.array([y0, y0, y0 + wy, y0 + wy])).all()
+    rng = np.random.default_rng(0)
+    lon = np.concatenate([rng.uniform(x0, x0 + wx, 2000), rng.uniform(-2, 22, 2000)])
+    lat = np.concatenate([rng.uniform(7.0, 7.01, 2000), rng.uniform(-2, 22, 2000)])
+    expect = np.where(point_in_ring(ring, lon, lat), 0, -1)
+    assert (expect[:2000] == -1).all() and (expect[2000:] == 0).any()
+    np.testing.assert_array_equal(idx.assign(lon, lat), expect)
+
+
+def test_pip_10k_layer_matches_bruteforce():
+    """The 10k-polygon layer on pip_10k-shaped points (a seeded doc-id
+    walk, geolocated and reprojected by the flagship pipeline) equals a
+    bbox-prefiltered ``point_in_ring`` scan, lowest id winning."""
+    from rayproj.core.constants import DEG_TO_RAD, RAD_TO_DEG
+    from rayproj.pipelines.flagship import CS2CS_PIPELINE
+    from rayproj.spatial.polygons import (PolygonIndex, make_polygons,
+                                          point_in_ring)
+    from rayproj.stages.geolocate import geolocate_ids
+
+    polys = make_polygons(10_000)
+    rng = np.random.default_rng(2024)
+    lon, lat = geolocate_ids(np.cumsum(rng.integers(1, 2048, 25_000)))
+    coo = Coords(lon * DEG_TO_RAD, lat * DEG_TO_RAD)
+    create_operation(CS2CS_PIPELINE).trans(FWD, coo)
+    lon, lat = coo.x * RAD_TO_DEG, coo.y * RAD_TO_DEG
+    expect = np.full(len(lon), -1, dtype=np.int32)
+    order = np.argsort(lon)
+    verts = polys["verts"]
+    lo = np.searchsorted(lon[order], verts[:, :, 0].min(axis=1), side="left")
+    hi = np.searchsorted(lon[order], verts[:, :, 0].max(axis=1), side="right")
+    for p in range(len(verts) - 1, -1, -1):
+        sel = order[lo[p]:hi[p]]
+        sel = sel[(lat[sel] >= verts[p, :, 1].min()) & (lat[sel] <= verts[p, :, 1].max())]
+        expect[sel[point_in_ring(verts[p], lon[sel], lat[sel])]] = p
+    assert (expect >= 0).mean() > 0.9
+    np.testing.assert_array_equal(PolygonIndex(polys).assign(lon, lat), expect)
 
 
 @settings(**COMMON)
