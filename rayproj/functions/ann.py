@@ -170,7 +170,7 @@ class ExactPrunedKNN:
             bkt = bkt[still]
             for cb in np.unique(bkt):
                 rows = active[bkt == cb]
-                sims = qn[rows] @ self.bucket_mats[cb].T
+                sims = np.einsum("qd,nd->qn", qn[rows], self.bucket_mats[cb])
                 cids = self.bucket_ids[cb]
                 if exclude_self:
                     sims[qids[rows][:, None] == cids[None, :]] = -np.inf

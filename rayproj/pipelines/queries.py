@@ -11,6 +11,7 @@ difference cannot flip a rounding boundary in practice.
 from __future__ import annotations
 
 import functools
+import os
 import re
 
 import numpy as np
@@ -37,10 +38,34 @@ N_ANCHORS = 20
 KNN_K = 3
 
 
-def _read(sf_dir: str, table: str, columns=None):
+def _read_path(path: str, columns=None):
+    """The query layer's one parquet read: one read task per input file,
+    fused with the map that follows. ``path`` is a file (1 task) or a
+    directory of k ``.parquet`` files (k tasks; names starting with
+    ``_`` or ``.`` are skipped, as pyarrow skips them).
+
+    Left to itself, Ray Data aims at 200 read blocks, so it splits the
+    read tasks of a table with fewer files than that
+    (``ReadParquet->SplitBlocks(2)``), and a split read never fuses with
+    the map after it: every query would run the read and the kernel as
+    separate tasks, with the blocks passing through the object store
+    between them. Asking for exactly one block per file keeps one
+    ``ReadParquet->MapBatches`` task per file. The rule is the same at
+    every size. The trade-off: a table stored as one file is read and
+    mapped by one task, with no split inside the file. Parallel reads
+    come from storing the table as several files: the deployment shape
+    ``lineage.py`` names, one partition per input file."""
     import ray.data as rd
 
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    n_files = 1
+    if os.path.isdir(path):
+        n_files = sum(name.endswith(".parquet") and not name.startswith(("_", "."))
+                      for _, _, names in os.walk(path) for name in names)
+    return rd.read_parquet(path, columns=columns, override_num_blocks=max(1, n_files))
+
+
+def _read(sf_dir: str, table: str, columns=None):
+    return _read_path(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _elastic_actors(cap: int = 64) -> tuple:
@@ -1852,8 +1877,10 @@ ORDER BY query_id, rank
 
 
 # above this corpus size the kNN self-join switches from the dense
-# broadcast matmul to the IVF-pruned exact index (same answers — the
-# pruning is a branch-and-bound upper bound, not an approximation)
+# broadcast scan to the IVF-pruned exact index (same answers — the
+# pruning is a branch-and-bound upper bound, not an approximation).
+# Both score with einsum, not a BLAS matmul, so exact duplicate vectors
+# score the same bits wherever they sit and ties break on neighbor_id.
 KNN_DENSE_MAX_ROWS = 200_000
 
 
@@ -1885,7 +1912,7 @@ def _knn_join_impl(sf_dir: str, use_ivf: bool | None = None):
         else:
             ids_c, matn_c = state
             qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-            sims = qn @ matn_c.T
+            sims = np.einsum("qd,nd->qn", qn, matn_c)
             sims[qids[:, None] == ids_c[None, :]] = -np.inf
             _, nbr = topk_window(sims, ids_c, KNN_K)
         return pd.DataFrame(
@@ -2470,8 +2497,6 @@ def q_html_extract(sf_dir: str):
     sources/pages.py:extract_text_arrow), and the oracle selects the
     generator's stored truth. A hash match proves the extraction chain
     reproduces every text byte for every url."""
-    import ray.data as rd
-
     from ..sources.pages import ensure_pages_fixture, extract_text_arrow
 
     path = ensure_pages_fixture()
@@ -2488,7 +2513,7 @@ def q_html_extract(sf_dir: str):
             }
         )
 
-    return rd.read_parquet(path, columns=["url", "html"]).map_batches(
+    return _read_path(path, ["url", "html"]).map_batches(
         fn, batch_format="pyarrow", batch_size=None
     )
 
@@ -2505,7 +2530,6 @@ def q_domain_stats(sf_dir: str):
     host extraction (pc.extract_regex — no per-row Python) fused with a
     per-batch partial aggregate, then a small groupby combine. The
     shuffle carries one row per (batch, host), never page rows."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from ..sources.pages import ensure_pages_fixture
@@ -2530,7 +2554,7 @@ def q_domain_stats(sf_dir: str):
             }
         )
 
-    parts = rd.read_parquet(path, columns=["url", "text"]).map_batches(
+    parts = _read_path(path, ["url", "text"]).map_batches(
         partial, batch_format="pyarrow"
     )
     return parts.groupby("host").aggregate(
@@ -2555,8 +2579,6 @@ def q_pages_pipeline(sf_dir: str):
     riding through to the output byte-identically per url. One fused
     map_batches stage (no shuffle) — the deployment shape of
     flagship.py, but with the byte-identity invariant IN the hash."""
-    import ray.data as rd
-
     from ..sources.pages import ensure_pages_fixture, extract_text_arrow
     from ..spatial.tiles import tile_xy
 
@@ -2575,7 +2597,7 @@ def q_pages_pipeline(sf_dir: str):
             }
         )
 
-    return rd.read_parquet(path, columns=["url", "html", "row_id"]).map_batches(
+    return _read_path(path, ["url", "html", "row_id"]).map_batches(
         fn, batch_format="pyarrow", batch_size=None
     )
 

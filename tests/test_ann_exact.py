@@ -145,3 +145,33 @@ def test_ann_queries_match_oracle(ray_session, sf_dir, tmp_path, query, variant)
     want = con.execute(sql).df().astype("int64")
     got = fn(str(tmp_path)).sort_values(["query_id", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("use_ivf", [False, True])
+def test_knn_join_tied_corpus_matches_oracle(ray_session, sf_dir, tmp_path, use_ivf):
+    """Both knn_join paths keep exact ties: with duplicate vectors at
+    the k-th place the self-join still ranks (cosine desc, neighbor_id
+    asc), as its oracle does."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from rayproj.pipelines import queries as q
+
+    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"]).slice(0, 495)
+    # the last 40 rows become copies of rows 0-4, so each copy's top-k
+    # holds only tied copies of itself. Rows 248-249 and the last three
+    # (an odd corpus size) copy row 0 too: they sit on the edge rows and
+    # columns of a BLAS tile, where a matmul scores copies an ulp apart.
+    src = np.arange(len(tbl))
+    src[-40:] = np.arange(40) % 5
+    src[[248, 249, -3, -2, -1]] = 0
+    tbl = tbl.set_column(1, "embedding", tbl.column("embedding").take(src))
+    pq.write_table(tbl, tmp_path / "embeddings.parquet")
+    con = duckdb.connect()
+    con.execute("CREATE VIEW embeddings AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/embeddings.parquet')")
+    want = con.execute(q.SQL_KNN_JOIN).df().astype("int64")
+    got = (q._knn_join_impl(str(tmp_path), use_ivf=use_ivf).to_pandas()
+           .sort_values(["vec_id", "rank"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, want)

@@ -5,7 +5,8 @@ of the union. The orphan guard keeps every ``q_*`` reachable: each one
 is registered in QUERIES or composed by another ``q_*``; the geolocate
 guard keeps one per-doc read + geolocate path (``_per_doc``); the
 top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
-polygon-index guard keeps one per-worker ``PolygonIndex`` build."""
+polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
+read guard keeps one parquet read (``_read_path``)."""
 
 import ast
 import os
@@ -151,3 +152,18 @@ def test_one_polygon_index():
                         os.path.join("spatial", "polygons.py"), "layer_index"):
                     inside += n_builds(fn)
     assert total == inside == 1
+
+
+def test_one_read_path():
+    """Every parquet read in queries.py goes through ``_read_path``,
+    which plans one read task per input file, fused with the map."""
+    with open(q.__file__) as f:
+        tree = ast.parse(f.read())
+    callers = sorted(
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read_parquet"
+    )
+    assert callers == ["_read_path"]

@@ -1,7 +1,8 @@
 """Driver-merged partial aggregates: q_tile_stats, q_zonal_stats,
 q_events_sessions and flagship.tile_stats against their DuckDB twins on
 tables this module writes itself — empty, and split across several
-parquet files so the merge sees partials from more than one block."""
+parquet files so the merge sees partials from more than one block (the
+query layer reads one block per file)."""
 
 import duckdb
 import numpy as np
@@ -67,7 +68,12 @@ def _assert_same(got: pd.DataFrame, want: pd.DataFrame) -> None:
 
 
 def _n_blocks(sf_dir, table: str) -> int:
-    return q._read(str(sf_dir), table).materialize().num_blocks()
+    """Blocks of the query layer's read, each from its own read task."""
+    ds = q._read(str(sf_dir), table).materialize()
+    n = ds.num_blocks()
+    assert ds.stats().startswith(
+        f"Operator 1 ReadParquet: {n} tasks executed, {n} blocks produced")
+    return n
 
 
 def test_empty_tables_return_named_columns(tmp_path, ray_session):
@@ -89,7 +95,7 @@ def test_empty_tables_return_named_columns(tmp_path, ray_session):
 def test_sessions_exact_across_overlapping_blocks(tmp_path, ray_session,
                                                   n_events, n_files):
     _write(tmp_path, "events", _events(n_events, 30, n_events + n_files), n_files)
-    assert _n_blocks(tmp_path, "events") >= 2
+    assert _n_blocks(tmp_path, "events") == n_files
     want = _oracle(tmp_path, "events_sessions")
     assert want["n_sessions"].sum() >= 100  # sparse: many gaps to merge across
     _assert_same(q.q_events_sessions(str(tmp_path)), want)
@@ -97,7 +103,7 @@ def test_sessions_exact_across_overlapping_blocks(tmp_path, ray_session,
 
 def test_partials_from_several_blocks_merge_exactly(tmp_path, ray_session):
     _write(tmp_path, "documents", _documents(20_000, 7), 4)
-    assert _n_blocks(tmp_path, "documents") >= 2
+    assert _n_blocks(tmp_path, "documents") == 4
     for name in ("tile_stats", "zonal_stats"):
         _assert_same(q.QUERIES[name](str(tmp_path)), _oracle(tmp_path, name))
 
