@@ -94,6 +94,22 @@ def _input_signature(path: str, lo: int, hi: int) -> str:
     return f"{os.path.basename(path)}:{st.st_size}:{lo}:{hi}"
 
 
+def parquet_shards(path: str) -> list[str]:
+    """The input files of a parquet table, one partition each: ``path``
+    itself when it is a file; for a directory, its top-level ``.parquet``
+    files, sorted, skipping names that start with ``_`` or ``.`` (the
+    prefixes pyarrow and Ray Data skip). Files in subdirectories are not
+    counted, so this never lists more files than a reader of ``path``
+    reads."""
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(
+        os.path.join(path, f)
+        for f in os.listdir(path)
+        if f.endswith(".parquet") and not f.startswith(("_", "."))
+    )
+
+
 def checkpointed_flagship(parquet_path: str, out_dir: str, n_partitions: int = 8,
                           key_col: str = "doc_id", lang_col: str = "lang",
                           pipeline_version: str = "1", **stage_kwargs):
@@ -116,12 +132,8 @@ def checkpointed_flagship(parquet_path: str, out_dir: str, n_partitions: int = 8
         # multi-file deployment shape: one partition per input file —
         # the natural unit at 100 TB (a shard list from the catalog),
         # so resume granularity matches the storage layout
-        files = sorted(
-            os.path.join(parquet_path, f)
-            for f in os.listdir(parquet_path)
-            if f.endswith(".parquet")
-        )
-        shards = [(f, 0, pq.ParquetFile(f).metadata.num_rows) for f in files]
+        shards = [(f, 0, pq.ParquetFile(f).metadata.num_rows)
+                  for f in parquet_shards(parquet_path)]
         n_partitions = len(shards)
     else:
         n_rows = pq.ParquetFile(parquet_path).metadata.num_rows

@@ -11,7 +11,6 @@ difference cannot flip a rounding boundary in practice.
 from __future__ import annotations
 
 import functools
-import os
 import re
 
 import numpy as np
@@ -30,6 +29,7 @@ from ..spatial.polygons import layer_index
 from ..spatial.tiles import tile_xy
 from ..stages.geolocate import geolocate_ids
 from .flagship import merge_partials
+from .lineage import parquet_shards
 
 ZOOM = 8
 CELL_LEVEL = 6
@@ -39,29 +39,26 @@ KNN_K = 3
 
 
 def _read_path(path: str, columns=None):
-    """The query layer's one parquet read: one read task per input file,
-    fused with the map that follows. ``path`` is a file (1 task) or a
-    directory of k ``.parquet`` files (k tasks; names starting with
-    ``_`` or ``.`` are skipped, as pyarrow skips them).
+    """The query layer's one Ray Data parquet read: one read task per
+    input file, fused with the map that follows. ``path`` is a file
+    (1 task) or a directory of k files (k tasks; ``lineage.parquet_shards``
+    lists them, with the rule ``checkpointed_flagship`` partitions by).
 
-    Left to itself, Ray Data aims at 200 read blocks, so it splits the
-    read tasks of a table with fewer files than that
-    (``ReadParquet->SplitBlocks(2)``), and a split read never fuses with
-    the map after it: every query would run the read and the kernel as
-    separate tasks, with the blocks passing through the object store
-    between them. Asking for exactly one block per file keeps one
+    Left to itself, Ray Data plans at least two read blocks per cluster
+    CPU, so it splits the read tasks of a table with fewer files than
+    that (``ReadParquet->SplitBlocks(k)``), and a split read never fuses
+    with the map after it: every query would run the read and the
+    kernel as separate tasks, with the blocks passing through the object
+    store between them. Asking for exactly one block per file keeps one
     ``ReadParquet->MapBatches`` task per file. The rule is the same at
-    every size. The trade-off: a table stored as one file is read and
-    mapped by one task, with no split inside the file. Parallel reads
-    come from storing the table as several files: the deployment shape
-    ``lineage.py`` names, one partition per input file."""
+    every size and CPU count. The trade-off: a table stored as one file
+    is read and mapped by one task, with no split inside the file.
+    Parallel reads come from storing the table as several files, one
+    partition per input file."""
     import ray.data as rd
 
-    n_files = 1
-    if os.path.isdir(path):
-        n_files = sum(name.endswith(".parquet") and not name.startswith(("_", "."))
-                      for _, _, names in os.walk(path) for name in names)
-    return rd.read_parquet(path, columns=columns, override_num_blocks=max(1, n_files))
+    n_files = max(1, len(parquet_shards(path)))
+    return rd.read_parquet(path, columns=columns, override_num_blocks=n_files)
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -974,18 +971,24 @@ def q_events_sessions(sf_dir: str):
     most sessions + blocks × types; no raw event leaves its block."""
     GAP_MS = 1_800_000  # 30 min, integer milliseconds (exact both sides)
 
-    def fragments(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["ts"].to_numpy().astype("datetime64[ms]").astype(np.int64)
-        et = df["event_type"].to_numpy(object)
-        order = np.lexsort((t, et))
-        t, et = t[order], et[order]
+    def fragments(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        t = batch.column("ts").to_numpy().astype("datetime64[ms]").astype(np.int64)
+        # group by the block's dictionary code, not the string: one
+        # block holds a whole file, and an integer sort is several
+        # times faster than a sort of Python strings
+        et = pc.dictionary_encode(batch.column("event_type")).combine_chunks()
+        code = et.indices.to_numpy()
+        order = np.lexsort((t, code))
+        t, code = t[order], code[order]
         new_s = np.ones(len(t), dtype=bool)
-        new_s[1:] = (et[1:] != et[:-1]) | (np.diff(t) > GAP_MS)
+        new_s[1:] = (code[1:] != code[:-1]) | (np.diff(t) > GAP_MS)
         last = np.ones(len(t), dtype=bool)
         last[:-1] = new_s[1:]
         starts, ends = np.flatnonzero(new_s), np.flatnonzero(last)
-        return pd.DataFrame({"event_type": et[starts], "start": t[starts],
-                             "end": t[ends], "n": ends - starts + 1})
+        return pa.table({"event_type": et.dictionary.take(code[starts]),
+                         "start": t[starts], "end": t[ends], "n": ends - starts + 1})
 
     def merge(event_type, g: pd.DataFrame) -> tuple:
         g = g.sort_values("start", kind="mergesort")
@@ -997,7 +1000,7 @@ def q_events_sessions(sf_dir: str):
         return event_type, len(sizes), sizes.max(), n.sum()
 
     frags = _read(sf_dir, "events", ["ts", "event_type"]).map_batches(
-        fragments, batch_format="pandas").to_pandas()
+        fragments, batch_format="pyarrow").to_pandas()
     rows = [merge(et, g) for et, g in frags.groupby("event_type")] if len(frags) else []
     cols = ["event_type", "n_sessions", "max_session_events", "n_events"]
     return pd.DataFrame(rows, columns=cols).astype({c: np.int64 for c in cols[1:]})
@@ -3164,10 +3167,10 @@ def q_tfidf_top(sf_dir: str):
     (sources × terms) join is driver-side on combiner output. Scores
     are fixed-point micro-units so the hash is integer-exact."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
+    import pyarrow.dataset as pads
     from ray.data.aggregate import Sum
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = pads.dataset(f"{sf_dir}/documents.parquet", format="parquet").count_rows()
 
     def partial(batch: pa.Table) -> pa.Table:
         lst = pc.split_pattern(batch.column("text"), " ")

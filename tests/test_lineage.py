@@ -59,7 +59,9 @@ def test_version_bump_invalidates(ray_session, out_dir):
 
 
 def test_multifile_directory_input(ray_session, tmp_path):
-    """Directory input: one partition per file; resume skips all."""
+    """Directory input: one partition per shard file (names starting
+    with ``_`` or ``.`` are not shards, as the query layer's reads count
+    them); resume skips all."""
     import pyarrow.parquet as pq
 
     src_dir = tmp_path / "shards"
@@ -67,6 +69,9 @@ def test_multifile_directory_input(ray_session, tmp_path):
     tbl = pq.read_table(SRC)
     for i in range(3):
         pq.write_table(tbl.slice(i * 100, 100), str(src_dir / f"s{i}.parquet"))
+    pq.write_table(tbl.slice(0, 10), str(src_dir / "_partial.parquet"))
+    pq.write_table(tbl.slice(0, 10), str(src_dir / ".s0.parquet"))
+    (src_dir / "_SUCCESS").write_text("")
     out = str(tmp_path / "out")
     recs, skipped = checkpointed_flagship(str(src_dir), out, key_col="doc_id")
     assert len(recs) == 3 and not skipped

@@ -1,8 +1,8 @@
 """Driver-merged partial aggregates: q_tile_stats, q_zonal_stats,
-q_events_sessions and flagship.tile_stats against their DuckDB twins on
-tables this module writes itself — empty, and split across several
-parquet files so the merge sees partials from more than one block (the
-query layer reads one block per file)."""
+q_events_sessions, q_tfidf_top and flagship.tile_stats against their
+DuckDB twins on tables this module writes itself — empty, and split
+across several parquet files so the merge sees partials from more than
+one block (the query layer reads one block per file)."""
 
 import duckdb
 import numpy as np
@@ -125,3 +125,11 @@ def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypat
         assert out["n_docs"].sum() == 500
     else:
         assert len(q.QUERIES[name](str(tmp_path))) > 0
+
+
+def test_tfidf_top_on_sharded_documents(tmp_path, ray_session, sf_dir):
+    """q_tfidf_top counts the documents of a ``documents.parquet/``
+    directory, not only of a single file."""
+    _write(tmp_path, "documents", pq.read_table(f"{sf_dir}/documents.parquet"), 4)
+    assert _n_blocks(tmp_path, "documents") == 4
+    _assert_same(q.q_tfidf_top(str(tmp_path)), _oracle(tmp_path, "tfidf_top"))

@@ -1,11 +1,15 @@
 """The query layer reads each input file with one task fused with its
 kernel map: every query of perfbench's ``query_mix`` runs exactly one
 Ray Data execution whose plan is a single ``ReadParquet->MapBatches``
-operator. Without one block per file, Ray Data splits a small file's
-read (``ReadParquet->SplitBlocks(2)``) and a split read never fuses."""
+operator, and a directory of files reads with one fused task per file.
+Left to its default, Ray Data splits the read of a table with fewer
+files than twice the CPUs (``ReadParquet->SplitBlocks(k)``), and a
+split read never fuses."""
 
 import re
 
+import numpy as np
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -16,8 +20,8 @@ QUERY_MIX = ("spatial_assign", "zonal_stats", "grid_shift", "tile_stats",
 FUSED = re.compile(r"ReadParquet->MapBatches\(\w+\)")
 
 
-@pytest.mark.parametrize("name", QUERY_MIX)
-def test_query_runs_one_fused_read_map(name, ray_session, sf_dir, monkeypatch):
+def _record_plans(monkeypatch) -> list:
+    """Each streaming execution's operator names, read first."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     plans = []
@@ -31,12 +35,56 @@ def test_query_runs_one_fused_read_map(name, ray_session, sf_dir, monkeypatch):
         return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    return plans
+
+
+def _operators(ds: rd.Dataset) -> list[str]:
+    return [line for line in ds.stats().splitlines() if line.startswith("Operator ")]
+
+
+def _identity_map(ds: rd.Dataset) -> rd.Dataset:
+    def identity(batch):  # local, so workers unpickle it by value
+        return batch
+
+    return ds.map_batches(identity).materialize()
+
+
+@pytest.mark.parametrize("name", QUERY_MIX)
+def test_query_runs_one_fused_read_map(name, ray_session, sf_dir, monkeypatch):
+    plans = _record_plans(monkeypatch)
     result = q.QUERIES[name](sf_dir)
     if isinstance(result, rd.Dataset):
         result.to_pandas()
-        ops = [line for line in result.stats().splitlines()
-               if line.startswith("Operator ")]
+        ops = _operators(result)
         assert len(ops) == 1 and FUSED.search(ops[0]), ops
         assert " 1 tasks executed" in ops[0], ops
     assert len(plans) == 1, plans
     assert len(plans[0]) == 2 and FUSED.fullmatch(plans[0][1]), plans
+
+
+@pytest.mark.parametrize("n_files", [2, 6])
+def test_sharded_table_reads_one_fused_task_per_file(n_files, ray_session, sf_dir,
+                                                     tmp_path, monkeypatch):
+    """A directory: one fused task per top-level shard file. A file Ray
+    Data reads but the count leaves out (in a subdirectory) only joins a
+    task; skipped names (``_SUCCESS``, ``_temporary/``) change nothing."""
+    docs = pq.read_table(f"{sf_dir}/documents.parquet")
+    out = tmp_path / "documents.parquet"
+    (out / "_temporary").mkdir(parents=True)
+    (out / "nested").mkdir()
+    parts = np.array_split(np.arange(docs.num_rows), n_files + 2)
+    for i, rows in enumerate(parts[:n_files]):
+        pq.write_table(docs.take(rows), out / f"part-{i:03d}.parquet")
+    pq.write_table(docs.take(parts[-2]), out / "_temporary" / "part-tmp.parquet")
+    pq.write_table(docs.take(parts[-1]), out / "nested" / "part-nested.parquet")
+    (out / "_SUCCESS").write_text("")
+
+    ds = _identity_map(q._read(str(tmp_path), "documents"))
+    ops = _operators(ds)
+    assert len(ops) == 1 and "ReadParquet->MapBatches(identity)" in ops[0], ops
+    assert f" {n_files} tasks executed" in ops[0], ops
+
+    plans = _record_plans(monkeypatch)
+    q.QUERIES["tile_stats"](str(tmp_path))
+    assert len(plans) == 1 and FUSED.fullmatch(plans[0][1]), plans
+
