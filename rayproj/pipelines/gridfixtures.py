@@ -22,8 +22,11 @@ pickled operators reload them on any worker of this node; on a real
 multi-node cluster grid files live on shared storage / object store
 exactly as PROJ grids do (see find_file, core/resources.py).
 
-Formats per rayproj.state.grids readers (re-derived from
-/root/reference/src/grids.cpp:1687-1760 CTable2 and :174-280 GTX).
+Formats per rayproj.state.grids readers (re-derived from the
+reference's src/grids.cpp:1687-1760 CTable2 and :174-280 GTX). The
+defmodel component grid is a GeoTIFF synthesized here as well
+(defmodel_grid_bytes: a constant 3-sample velocity field), so every
+fixture a registered query opens is written from this module.
 """
 
 from __future__ import annotations
@@ -239,12 +242,88 @@ def def_vgrid_bytes() -> bytes:
     return header + vals.tobytes()
 
 
+# The defmodel component grid: whole-world 1-degree nodes (pixel-is-
+# point, so node (0, 0) sits on lon -180, lat 90), three float32
+# samples per node holding the constant velocities the q_defmodel
+# oracle applies -- east 1 deg/yr, north 2 deg/yr, up 3 m/yr.
+DEFMODEL_GRID_PATH = os.path.join(FIX_DIR, "testdefmodel_3d.tif")
+DM_W, DM_H = 361, 181  # lon -180..180, lat 90..-90
+DM_RATES = (1.0, 2.0, 3.0)
+DM_CHANNELS = (("east_offset", "degree"), ("north_offset", "degree"),
+               ("vertical_offset", "metre"))
+
+
+def geotiff_bytes(planes: np.ndarray, west_deg: float, north_deg: float,
+                  res_deg: float, channels) -> bytes:
+    """Little-endian classic TIFF with one uncompressed strip of
+    contiguous float32 samples (laid out header, strip, IFD, IFD values),
+    as state/tiffgrid.py reads it: planes is
+    (H, W, S), rows north-first; georeferenced by ModelPixelScale +
+    ModelTiepoint with a geographic, pixel-is-point GeoKeyDirectory;
+    channels gives each sample's GDAL_METADATA (DESCRIPTION, UNITTYPE)."""
+    height, width, nsamples = planes.shape
+    items = "".join(
+        f'<Item name="DESCRIPTION" sample="{s}" role="description">{d}</Item>'
+        f'<Item name="UNITTYPE" sample="{s}" role="unittype">{u}</Item>'
+        for s, (d, u) in enumerate(channels))
+    metadata = f"<GDALMetadata>{items}</GDALMetadata>".encode() + b"\0"
+    strip = np.ascontiguousarray(planes, dtype="<f4").tobytes()
+    # GeoKeyDirectory: version 1.1.0, 3 keys -- GTModelType geographic,
+    # GTRasterType pixel-is-point, GeographicType EPSG:4326
+    geokeys = [1, 1, 0, 3, 1024, 0, 1, 2, 1025, 0, 1, 2, 2048, 0, 1, 4326]
+    # (tag, TIFF type, struct code, values); SHORT=3 LONG=4 DOUBLE=12
+    # ASCII=2; tags ascending as TIFF 6.0 requires
+    entries = [
+        (256, 4, "I", [width]),
+        (257, 4, "I", [height]),
+        (258, 3, "H", [32] * nsamples),
+        (259, 3, "H", [1]),  # no compression
+        (262, 3, "H", [1]),  # min-is-black
+        (273, 4, "I", [8]),  # the strip follows the 8-byte header
+        (277, 3, "H", [nsamples]),
+        (278, 4, "I", [height]),  # one strip
+        (279, 4, "I", [len(strip)]),
+        (284, 3, "H", [1]),  # contiguous samples
+        (339, 3, "H", [3] * nsamples),  # IEEE float
+        (33550, 12, "d", [res_deg, res_deg, 0.0]),
+        (33922, 12, "d", [0.0, 0.0, 0.0, west_deg, north_deg, 0.0]),
+        (34735, 3, "H", geokeys),
+        (42112, 2, None, metadata),
+    ]
+    ifd_off = 8 + len(strip)
+    payloads = [v if code is None else struct.pack(f"<{len(v)}{code}", *v)
+                for _, _, code, v in entries]
+    data_off = ifd_off + 2 + 12 * len(entries) + 4
+    extra = b""
+    offsets = []
+    for raw in payloads:
+        if len(raw) <= 4:
+            offsets.append(None)
+        else:
+            offsets.append(data_off + len(extra))
+            extra += raw + b"\0" * (len(raw) % 2)  # word-aligned values
+    ifd = struct.pack("<H", len(entries))
+    for (tag, typ, code, v), raw, off in zip(entries, payloads, offsets):
+        count = len(raw) if code is None else len(v)
+        field = raw.ljust(4, b"\0") if off is None else struct.pack("<I", off)
+        ifd += struct.pack("<HHI", tag, typ, count) + field
+    ifd += struct.pack("<I", 0)  # no further IFD
+    return b"II" + struct.pack("<HI", 42, ifd_off) + strip + ifd + extra
+
+
+def defmodel_grid_bytes() -> bytes:
+    planes = np.empty((DM_H, DM_W, len(DM_RATES)), dtype=np.float32)
+    planes[:] = DM_RATES
+    return geotiff_bytes(planes, -180.0, 90.0, 1.0, DM_CHANNELS)
+
+
 def defmodel_doc() -> dict:
     """Deformation-model master file (defmodel.cpp JSON schema) with a
-    velocity time function over the reference's own constant 3D degree
-    grid (data/tests/simple_model_degree_3d_grid.tif: east 1 deg/yr,
-    north 2 deg/yr, up 3 m/yr) — offsets scale by (t - 2000.0), which
-    the SQL oracle reproduces arithmetically."""
+    velocity time function over one 3D degree grid that this module
+    synthesizes (defmodel_grid_bytes at DEFMODEL_GRID_PATH: whole-world
+    1-degree nodes holding the constants east 1 deg/yr, north 2 deg/yr,
+    up 3 m/yr) -- offsets scale by (t - 2000.0), which the SQL oracle
+    reproduces arithmetically."""
     return {
         "file_type": "deformation_model_master_file",
         "format_version": "1.0",
@@ -258,7 +337,7 @@ def defmodel_doc() -> dict:
         "time_extent": {"first": "1900-01-01T00:00:00Z",
                         "last": "2100-01-01T00:00:00Z"},
         "components": [{
-            "description": "constant-velocity field over the reference's grid",
+            "description": "constant-velocity field",
             "displacement_type": "3d",
             "uncertainty_type": "none",
             "extent": {"type": "bbox",
@@ -266,8 +345,7 @@ def defmodel_doc() -> dict:
             "spatial_model": {
                 "type": "GeoTIFF",
                 "interpolation_method": "bilinear",
-                "filename":
-                    "/root/reference/data/tests/simple_model_degree_3d_grid.tif",
+                "filename": DEFMODEL_GRID_PATH,
             },
             "time_function": {
                 "type": "velocity",
@@ -282,4 +360,5 @@ def ensure_deformation_fixtures() -> None:
 
     _write_atomic(DEF_HG_PATH, def_hgrid_bytes())
     _write_atomic(DEF_VG_PATH, def_vgrid_bytes())
+    _write_atomic(DEFMODEL_GRID_PATH, defmodel_grid_bytes())
     _write_atomic(DEFMODEL_PATH, json.dumps(defmodel_doc()).encode())

@@ -4012,11 +4012,13 @@ FROM d ORDER BY doc_id
 
 def q_defmodel(sf_dir: str):
     """Deformation-model master file (+proj=defmodel, defmodel.cpp):
-    velocity time function over the reference's own constant 3D degree
-    grid (east 1 deg/yr, north 2 deg/yr, up 3 m/yr) — the oracle
-    reproduces offset = rate x (t - 2000.0) arithmetically. Exercises
-    the JSON master parse, component extent, time-function evaluation,
-    degree-unit addition and the per-worker model reload."""
+    velocity time function over a constant 3D degree GeoTIFF grid that
+    gridfixtures synthesizes (whole-world 1-degree nodes, float32 east
+    1 deg/yr, north 2 deg/yr, up 3 m/yr; gridfixtures.defmodel_grid_bytes)
+    — the oracle reproduces offset = rate x (t - 2000.0) arithmetically.
+    Exercises the JSON master parse, component extent, GeoTIFF grid read
+    (state/tiffgrid.py), time-function evaluation, degree-unit addition
+    and the per-worker model reload."""
     from .gridfixtures import DEFMODEL_PATH, ensure_deformation_fixtures
 
     ensure_deformation_fixtures()

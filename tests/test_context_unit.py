@@ -61,15 +61,18 @@ def test_init_info():
     """gie_self_tests.cpp:400-408 proj_init_info: unknown name is
     all-empty; 'epsg' reports the registry origin; an on-path init
     file reports its <metadata> lastupdate."""
-    resources.add_search_path("/root/reference/data")
+    ref_data = "/root/reference/data"
+    resources.add_search_path(ref_data)
     try:
         assert resources.init_info("unknowninit").filename == ""
         info = resources.init_info("epsg")
         assert info.origin in ("EPSG", "Unknown")
         assert info.name == "epsg"
+        if not os.path.isfile(os.path.join(ref_data, "nad27")):
+            pytest.skip("reference init file nad27 not available")
         nad = resources.init_info("nad27")
         assert nad.filename != ""
         assert nad.lastupdate == "1992-12-20"
         assert nad.origin == "Unknown"  # nad27 has no origin field
     finally:
-        resources._extra_paths.remove("/root/reference/data")
+        resources._extra_paths.remove(ref_data)

@@ -28,10 +28,14 @@ from rayproj.core import resources
 from rayproj.core.factory import create_operation
 from rayproj.core.op import FWD, INV, Coords
 from rayproj.ops import REGISTRY, load_all
+from rayproj.pipelines import gridfixtures
 
 resources.add_search_path("/root/reference/data")
 resources.add_search_path("/root/reference/data/tests")
 load_all()
+gridfixtures.ensure_fixtures()
+gridfixtures.ensure_tin()
+gridfixtures.ensure_deformation_fixtures()
 
 # plan-time failures with a defined shape (see test_fuzz_parsers.ALLOWED)
 ALLOWED = (ProjError, ValueError, KeyError, NotImplementedError, OSError)
@@ -52,8 +56,10 @@ _GENERIC = [
 ]
 
 # Operators whose mandatory parameters the generic candidates can't
-# satisfy (grids/models point at the reference's own public test data,
-# already used by the gie-conformance fixtures).
+# satisfy. Grids/models first point at the reference's own public test
+# data (already used by the gie-conformance fixtures), then at the
+# in-repo fixtures of rayproj.pipelines.gridfixtures, so the grid
+# operators construct wherever the reference data is absent.
 _SPECIAL = {
     "axisswap": ["+order=2,1"],
     "sch": ["+ellps=WGS84 +plat_0=30 +plon_0=45 +phdg_0=-12"],
@@ -72,8 +78,10 @@ _SPECIAL = {
         "+ellps=intl +range=500000 +fwd_origin=0,0 +inv_origin=0,0 +deg=1"
         " +fwd_u=0,1,0 +fwd_v=0,0,1 +inv_u=0,1,0 +inv_v=0,0,1",
     ],
-    "hgridshift": ["+grids=ntv2_0_downsampled.gsb"],
-    "vgridshift": ["+grids=egm96_15_downsampled.gtx"],
+    "hgridshift": ["+grids=ntv2_0_downsampled.gsb",
+                   f"+grids={gridfixtures.HG_PATH}"],
+    "vgridshift": ["+grids=egm96_15_downsampled.gtx",
+                   f"+grids={gridfixtures.VG_PATH}"],
     "xyzgridshift": [
         "+grids=subset_of_gr3df97a.tif +grid_ref=output_crs +ellps=GRS80",
         "+grids=subset_of_gr3df97a.tif +ellps=GRS80",
@@ -84,14 +92,18 @@ _SPECIAL = {
         " +ellps=GRS80",
         "+grids=nkgrf03vel_realigned_extract.tif +t_epoch=2016.0"
         " +ellps=GRS80",
+        f"+xy_grids={gridfixtures.DEF_HG_PATH}"
+        f" +z_grids={gridfixtures.DEF_VG_PATH} +t_epoch=2016.0 +ellps=GRS80",
     ],
     "defmodel": [
         "+model=/root/reference/data/tests/simple_model_metre_3d.json"
         " +ellps=GRS80",
+        f"+model={gridfixtures.DEFMODEL_PATH} +ellps=GRS80",
     ],
     "tinshift": [
         "+file=/root/reference/data/tests/tinshift_simplified_kkj_etrs.json"
         " +ellps=GRS80",
+        f"+file={gridfixtures.TIN_PATH} +ellps=GRS80",
     ],
 }
 
@@ -213,15 +225,15 @@ def test_defmodel_missing_grid_poisons_not_raises(tmp_path):
     false -> proj_coord_error); it must not throw out of trans."""
     import json
 
-    src = "/root/reference/data/tests/simple_model_metre_3d.json"
-    with open(src) as f:
-        doc = json.load(f)
+    doc = gridfixtures.defmodel_doc()
     for comp in doc["components"]:
         comp["spatial_model"]["filename"] = "no_such_grid_anywhere.tif"
     path = tmp_path / "broken_model.json"
     path.write_text(json.dumps(doc))
     op = create_operation(f"+proj=defmodel +model={path} +ellps=GRS80")
-    coo = Coords(np.array([1500000.0]), np.array([5400000.0]),
+    # the model is geographic: a radian point inside its extent and time
+    # extent, so the failure comes from the grid open, not an extent miss
+    coo = Coords(np.array([0.2]), np.array([0.5]),
                  np.zeros(1), np.array([2018.5]))
     op.trans(FWD, coo)
     assert coo.err[0] != 0 and np.isinf(coo.x[0])

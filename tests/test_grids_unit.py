@@ -7,6 +7,7 @@ with per-sample metadata, subgrid hierarchies, and projected extents.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from rayproj.state.grids import (
 
 D = math.pi / 180
 TESTS = "/root/reference/data/tests/"
+
+
+def needs_files(*names):
+    """Skip unless every named reference test-data file is present."""
+    missing = [n for n in names if not os.path.isfile(TESTS + n)]
+    return pytest.mark.skipif(
+        bool(missing), reason=f"reference grid files not available: {missing}")
 
 
 def grid_at(sets, lam, phi):
@@ -53,6 +61,7 @@ def test_vertical_shift_grid_set_null():
     assert not g.is_nodata(np.array([np.float32(0.0)]), 0.0)[0]
 
 
+@needs_files("test_nodata.gtx")
 def test_vertical_shift_grid_set_gtx():
     with pytest.raises(ProjError) as exc:
         open_vgrid_set(TESTS + "foobar")
@@ -76,6 +85,7 @@ def test_horizontal_shift_grid_set_null():
     assert g.lat_shift[0, 0] == 0.0
 
 
+@needs_files("test_hgrid.tif")
 def test_horizontal_shift_grid_set_gtiff():
     gs = open_hgrid_set(TESTS + "test_hgrid.tif")
     assert len(gs) == 1
@@ -106,6 +116,7 @@ def test_generic_shift_grid_set_null():
     assert g.metadata_item("foo") == ""
 
 
+@needs_files("nkgrf03vel_realigned_extract.tif")
 def test_generic_shift_grid_set_gtiff():
     with pytest.raises(ProjError):
         open_generic_set(TESTS + "foobar")
@@ -123,6 +134,7 @@ def test_generic_shift_grid_set_gtiff():
     assert g.metadata_item("non_existing", 10) == ""
 
 
+@needs_files("test_hgrid_with_subgrid.tif")
 def test_generic_shift_grid_set_gtiff_with_subgrid():
     gs = open_generic_set(TESTS + "test_hgrid_with_subgrid.tif")
     assert grid_at(gs, -100, -100) is None
@@ -133,6 +145,7 @@ def test_generic_shift_grid_set_gtiff_with_subgrid():
     assert g.metadata_item("grid_name") == "ALbanff"
 
 
+@needs_files("test_hgrid_with_two_level_of_subgrids_no_grid_name.tif")
 def test_generic_gtiff_two_level_subgrids_no_grid_name():
     gs = open_generic_set(
         TESTS + "test_hgrid_with_two_level_of_subgrids_no_grid_name.tif")
@@ -143,6 +156,7 @@ def test_generic_gtiff_two_level_subgrids_no_grid_name():
     assert g.height == 8
 
 
+@needs_files("test_3d_grid_projected.tif")
 def test_generic_shift_grid_set_gtiff_projected():
     gs = open_generic_set(TESTS + "test_3d_grid_projected.tif")
     assert grid_at(gs, -1000, -1000) is None
@@ -158,6 +172,8 @@ def test_generic_shift_grid_set_gtiff_projected():
     assert g.res_y == 1000
 
 
+@needs_files("test_hgrid.tif", "../CMakeLists.txt", "conus", "ntv1_can.dat",
+             "ntv2_0_downsampled.gsb", "egm96_15_downsampled.gtx")
 def test_grid_info():
     """gie_self_tests.cpp:386-396 proj_grid_info: resolved path +
     format for a real grid; empty filename for a missing name and for
@@ -181,3 +197,33 @@ def test_grid_info():
     assert grid_info("ntv1_can.dat").format == "ntv1"
     assert grid_info("ntv2_0_downsampled.gsb").format == "ntv2"
     assert grid_info("egm96_15_downsampled.gtx").format == "gtx"
+
+
+def test_synthesized_geotiff_round_trip(tmp_path):
+    """gridfixtures.geotiff_bytes (the defmodel fixture's writer) read
+    back through the generic GeoTIFF layer: node grid extent, south-first
+    row order, per-sample values and DESCRIPTION/UNITTYPE metadata."""
+    from rayproj.pipelines.gridfixtures import geotiff_bytes
+
+    h, w = 3, 4
+    planes = np.empty((h, w, 2), dtype=np.float32)
+    planes[:, :, 0] = np.arange(h * w).reshape(h, w)  # north-first rows
+    planes[:, :, 1] = -planes[:, :, 0]
+    path = tmp_path / "synth.tif"
+    path.write_bytes(geotiff_bytes(planes, 10.0, 50.0, 0.5,
+                                   [("east_offset", "degree"),
+                                    ("vertical_offset", "metre")]))
+    gs = open_generic_set(str(path))
+    g = grid_at(gs, 11.0 * D, 49.5 * D)
+    assert g is not None
+    assert (g.width, g.height) == (w, h)
+    assert g.west == pytest.approx(10.0 * D)
+    assert g.east == pytest.approx(11.5 * D)
+    assert g.south == pytest.approx(49.0 * D)
+    assert g.north == pytest.approx(50.0 * D)
+    assert g.res_x == pytest.approx(0.5 * D)
+    assert g.descs == ["east_offset", "vertical_offset"]
+    assert g.units == ["degree", "metre"]
+    # row 0 is the southern-most line: the file's last (north-first) row
+    assert list(g.samples[0][0]) == [8.0, 9.0, 10.0, 11.0]
+    assert list(g.samples[1][h - 1]) == [0.0, -1.0, -2.0, -3.0]

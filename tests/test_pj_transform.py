@@ -15,6 +15,7 @@ from the reference's own 4D API (which this engine mirrors):
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from rayproj.core.factory import create_operation
 from rayproj.core.op import FWD, INV, Coords
 
 D = math.pi / 180
+REF_TESTS = "/root/reference/data/tests"
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _grid_paths():
-    resources.add_search_path("/root/reference/data/tests")
+    resources.add_search_path(REF_TESTS)
 
 
 def pj_transform(src, dst, x, y, z=0.0):
@@ -135,8 +137,15 @@ VECTORS = [
 ]
 
 
-@pytest.mark.parametrize("name,src,dst,inp,exp",
-                         [pytest.param(*v, id=v[0]) for v in VECTORS])
+_needs_conus = pytest.mark.skipif(
+    not os.path.isfile(os.path.join(REF_TESTS, "conus")),
+    reason="reference grid conus not available")
+
+
+@pytest.mark.parametrize("name,src,dst,inp,exp", [
+    pytest.param(*v, id=v[0],
+                 marks=[_needs_conus] if "nadgrids=conus" in v[1] + v[2] else [])
+    for v in VECTORS])
 def test_pj_transform_vector(name, src, dst, inp, exp):
     x, y, z = pj_transform(src, dst, *inp)
     ex, ey, ez, tol = exp

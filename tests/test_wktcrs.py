@@ -9,7 +9,12 @@ googletest expectation.
 
 import pytest
 
-from rayproj.state import dbcrs, wktcrs
+from rayproj.state import dbcrs, projdb, wktcrs
+
+# every import resolves datums/units/methods through the EPSG registry
+pytestmark = pytest.mark.skipif(
+    not projdb.available(), reason="EPSG SQL scripts not available"
+)
 
 
 def p4(wkt: str) -> str:
