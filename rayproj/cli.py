@@ -615,7 +615,13 @@ def _projinfo_db_describe(defn: str, args) -> bool:
         # as database objects (projinfo.cpp buildObject -> outputObject)
         from .state import wktcrs
 
-        imported = wktcrs.wkt_import(defn)
+        try:
+            imported = wktcrs.wkt_import(defn)
+        except FileNotFoundError as e:
+            # the WKT names units/datums only the registry resolves;
+            # main() reports this instead of a fallback description
+            raise FileNotFoundError(
+                f"EPSG registry unavailable, cannot import WKT ({e})") from None
         if imported is not None:
             warnings, crs = imported
             for w in warnings:

@@ -23,7 +23,7 @@ from ..core.op import FWD, INV, Coords
 from ..functions import text as textfn
 from ..functions.ann import (ExactPrunedKNN, IVFIndex, _normalize, emb_matrix,
                              top_k_per_key, topk_rows, topk_window)
-from ..functions.dedup import MinHasher, simhash64
+from ..functions.dedup import MinHasher, group_apply, runs, simhash64
 from ..spatial.cells import cell_xy
 from ..spatial.polygons import layer_index
 from ..spatial.tiles import tile_xy
@@ -1072,11 +1072,10 @@ SQL_DISTINCT_BRANDS = "SELECT p_brand, COUNT(*) AS n_parts FROM part GROUP BY 1 
 
 
 def q_dedup_exact(sf_dir: str):
-    """Exact dedup: hash-partition on content md5, keep min doc_id.
-    Distinct-hash count grows with the corpus, so the aggregate goes
-    through the 64-bucket + C-speed-pandas pattern
-    (functions/dedup.bucketed_group_apply), not a per-group groupby."""
-    from ..functions.dedup import bucketed_group_apply
+    """Exact dedup: group on content md5, keep min doc_id. Distinct-hash
+    count grows with the corpus, so the aggregate goes through
+    functions/dedup.group_apply (one sort, one C-speed pandas pass per
+    block), not a per-group callback."""
 
     def hashes(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1093,7 +1092,7 @@ def q_dedup_exact(sf_dir: str):
         out["n_dups"] = g.size()
         return out.reset_index()
 
-    return bucketed_group_apply(ds, "text_md5", collapse)
+    return group_apply(ds, "text_md5", collapse)
 
 
 SQL_DEDUP_EXACT = """
@@ -1106,7 +1105,7 @@ def q_source_stats(sf_dir: str):
     """Per-source corpus stats via MAP-SIDE PARTIAL AGGREGATION: each
     batch emits one row per source (count, sum, min) and the shuffle
     only moves those partials — the combiner pattern for low-cardinality
-    keys at 100 TB (contrast bucketed_group_apply, which is for keys
+    keys at 100 TB (contrast group_apply, which is for keys
     that grow with the corpus)."""
     from ray.data.aggregate import Min, Sum
 
@@ -1228,9 +1227,8 @@ def q_paragraph_dedup(sf_dir: str):
     Scale shape (the CCNet recipe at 100 TB): only (chunk_md5, doc_id)
     pairs shuffle — never text; chunk-key cardinality grows with the
     corpus, so both the per-chunk doc-count and the per-doc rollup run
-    through bucketed_group_apply (64-bucket hash shuffle + C-speed
-    pandas inside) instead of a per-group groupby."""
-    from ..functions.dedup import bucketed_group_apply
+    through group_apply (one sort + C-speed pandas per block) instead
+    of a per-group callback."""
 
     CHUNK = 5
 
@@ -1269,7 +1267,7 @@ def q_paragraph_dedup(sf_dir: str):
             {"doc_id": df["doc_id"], "dup": (nd > 1).to_numpy(np.int64)}
         )
 
-    flagged = bucketed_group_apply(pairs, "chunk_md5", flag_dups)
+    flagged = group_apply(pairs, "chunk_md5", flag_dups)
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False)["dup"]
@@ -1277,7 +1275,7 @@ def q_paragraph_dedup(sf_dir: str):
         out["n_dup_chunks"] = g.sum()
         return out.reset_index()
 
-    return bucketed_group_apply(flagged, "doc_id", per_doc)
+    return group_apply(flagged, "doc_id", per_doc)
 
 
 SQL_PARAGRAPH_DEDUP = """
@@ -1372,8 +1370,7 @@ def q_dedup_norm(sf_dir: str):
     normalizer the thing under test (25 collapsed groups).
 
     Scale shape: identical to dedup_exact — only (norm_md5, doc_id)
-    shuffles, collapse via bucketed_group_apply."""
-    from ..functions.dedup import bucketed_group_apply
+    shuffles, collapse via group_apply."""
 
     def augment(df: pd.DataFrame) -> pd.DataFrame:
         var = df[df["doc_id"] < 25].copy()
@@ -1405,7 +1402,7 @@ def q_dedup_norm(sf_dir: str):
         out["n_dups"] = g.size()
         return out.reset_index()
 
-    return bucketed_group_apply(ds, "norm_md5", collapse)
+    return group_apply(ds, "norm_md5", collapse)
 
 
 SQL_DEDUP_NORM = """
@@ -1444,17 +1441,11 @@ def q_minhash_lsh(sf_dir: str):
     family is deterministic, so the oracle (SQL_MINHASH_LSH) re-derives
     the full sketch in DuckDB mod-2^64 arithmetic. Distinct (band, hash)
     buckets scale with the corpus, so the bucket-size count goes
-    through the 64-bucket vectorized aggregate, not a per-bucket
-    groupby."""
-    from ..functions.dedup import bucketed_group_apply
+    through group_apply on (band_id, band_hash), not a per-bucket
+    callback."""
 
     def bands(batch: pd.DataFrame) -> pd.DataFrame:
-        mh = MinHasher()
-        df = mh.band_rows(batch["doc_id"].to_numpy(), batch["text"])
-        df["band_key"] = df["band_hash"].to_numpy(np.int64) * np.int64(31) + df[
-            "band_id"
-        ].to_numpy(np.int64)
-        return df
+        return MinHasher().band_rows(batch["doc_id"].to_numpy(), batch["text"])
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         bands, batch_format="pandas"
@@ -1465,7 +1456,7 @@ def q_minhash_lsh(sf_dir: str):
         out = g[g > 1].rename("n_docs").reset_index()
         return out
 
-    return bucketed_group_apply(ds, "band_key", counts)
+    return group_apply(ds, ["band_id", "band_hash"], counts)
 
 
 def q_simhash_neardup(sf_dir: str):
@@ -1973,16 +1964,15 @@ def q_ngram_jaccard(sf_dir: str):
 
     Scale shape (round-4 verdict task 3 — the former per-pair Python
     set loop is gone): per-doc DISTINCT shingle hashes emit as
-    (hash, doc, n_sh) rows; a bucketed shuffle on the hash expands
+    (hash, doc, n_sh) rows; a group_apply sort on the hash expands
     co-occurring docs into (doc_a, doc_b) pair rows with pure
     repeat/cumsum arithmetic (functions/dedup.cooccurrence_pairs); a
-    second bucketed shuffle on the pair key sums intersection counts
+    second group_apply on the pair sums intersection counts
     and computes Jaccard vectorized. Only (hash, doc) and (pair,
     count) rows ever shuffle — at 100 TB the candidate universe is
     LSH-pruned first (minhash_lsh) and this leg runs on the pruned
     pairs with the same kernels."""
-    from ..functions.dedup import (bucketed_group_apply, cooccurrence_pairs,
-                                   distinct_shingle_rows)
+    from ..functions.dedup import cooccurrence_pairs, distinct_shingle_rows
 
     N_DOCS = 60
     N_VARIANTS = 30
@@ -2021,7 +2011,7 @@ def q_ngram_jaccard(sf_dir: str):
         a, b = cooccurrence_pairs(df["sh"].to_numpy())
         ids = df["doc_id"].to_numpy(np.int64)
         nsh = df["n_sh"].to_numpy(np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_a": ids[a],
                 "doc_b": ids[b],
@@ -2029,10 +2019,8 @@ def q_ngram_jaccard(sf_dir: str):
                 "n_b": nsh[b],
             }
         )
-        out["pkey"] = out["doc_a"].to_numpy() * np.int64(1000003) + out["doc_b"].to_numpy()
-        return out
 
-    pairs = bucketed_group_apply(rows, "sh", expand)
+    pairs = group_apply(rows, "sh", expand)
 
     def reduce_pairs(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["doc_a", "doc_b"], sort=False)
@@ -2047,7 +2035,7 @@ def q_ngram_jaccard(sf_dir: str):
         out = out[out["jaccard"] >= THRESH]
         return out[["doc_a", "doc_b", "jaccard"]]
 
-    return bucketed_group_apply(pairs, "pkey", reduce_pairs)
+    return group_apply(pairs, ["doc_a", "doc_b"], reduce_pairs)
 
 
 SQL_NGRAM_JACCARD = """
@@ -2087,8 +2075,9 @@ def q_embed_neardup(sf_dir: str):
     """Embedding-cosine near-duplicate pairs, IVF-bucketed (the 100-TB
     plan, round-2 VERDICT #7): each vector is multi-assigned to its
     nprobe=4 closest of 8 deterministic centroids, candidate pairs are
-    generated WITHIN buckets only (groupby shuffle + per-bucket
-    matmul), then exact-cosine verified at ≥ 0.4. No driver-side full
+    generated WITHIN buckets only (group_apply on the bucket + a
+    per-bucket matmul over each block's bucket runs), then
+    exact-cosine verified at ≥ 0.4. No driver-side full
     matrix, no whole-table broadcast — only 4x replicated bucket rows
     shuffle. The oracle expresses the SAME bucketed semantics in SQL
     (probe ranking, bucket co-membership, cosine verify), so the check
@@ -2115,28 +2104,26 @@ def q_embed_neardup(sf_dir: str):
         probe_rows, batch_format="pandas"
     )
 
-    empty = pd.DataFrame(
-        {"vec_a": pd.Series(dtype="int64"), "vec_b": pd.Series(dtype="int64")}
-    )
-
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) < 2:
-            return empty
         ids = df["vec_id"].to_numpy(np.int64)
         vecs = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
-        # chunked self-matmul bounds memory on a skewed bucket
-        parts = []
-        for s in range(0, len(ids), 4096):
-            sims = vecs[s:s + 4096] @ vecs.T
-            ai, bi = np.nonzero(sims >= THRESH)
-            a, b = ids[s + ai], ids[bi]
-            keep = a < b
-            parts.append(pd.DataFrame({"vec_a": a[keep], "vec_b": b[keep]}))
-        return pd.concat(parts, ignore_index=True) if parts else empty
+        # one matmul per bucket run (IVF lists are few); chunking
+        # bounds memory on a skewed bucket
+        starts = runs(df["bucket"].to_numpy())[0]
+        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for lo, hi in zip(starts, np.append(starts[1:], len(ids))):
+            for s in range(lo, hi, 4096):
+                sims = vecs[s:min(s + 4096, hi)] @ vecs[lo:hi].T
+                ai, bi = np.nonzero(sims >= THRESH)
+                a.append(ids[s + ai])
+                b.append(ids[lo + bi])
+        a, b = np.concatenate(a), np.concatenate(b)
+        keep = a < b
+        return pd.DataFrame({"vec_a": a[keep], "vec_b": b[keep]})
 
-    cand = buckets.groupby("bucket").map_groups(bucket_pairs, batch_format="pandas")
+    cand = group_apply(buckets, "bucket", bucket_pairs)
 
-    # pairs sharing >1 probe bucket repeat: bucketed exact dedup
+    # pairs sharing >1 probe bucket repeat: exact pair dedup
     from ..functions.dedup import dedup_pairs_ds
 
     return dedup_pairs_ds(cand, "vec_a", "vec_b")
@@ -2453,42 +2440,59 @@ def _purchases_and_signups(sf_dir: str):
     ).map_batches(keep, batch_format="pyarrow")
 
 
+def _join_sides(df: pd.DataFrame):
+    """One block of the event joins → (purchases, signups), each as
+    (event_id, user_id, ts_us) arrays; the signups sorted by (user, ts,
+    event_id)."""
+    is_p = (df["event_type"] == "purchase").to_numpy()
+    eid, user = df["event_id"].to_numpy(np.int64), df["user_id"].to_numpy(np.int64)
+    ts = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
+    o = np.lexsort((eid[~is_p], ts[~is_p], user[~is_p]))
+    return ((eid[is_p], user[is_p], ts[is_p]),
+            (eid[~is_p][o], user[~is_p][o], ts[~is_p][o]))
+
+
+def _probe(signups, user, ts, side: str):
+    """searchsorted of the (user, ts) probes among the sorted signups'
+    (user, ts): one record-array search for every user of a block."""
+    return np.searchsorted(np.rec.fromarrays(signups[1:]),
+                           np.rec.fromarrays([user, ts]), side=side)
+
+
 def q_events_asof(sf_dir: str):
     """Distributed AS-OF JOIN (a custom operator Ray Data lacks):
     each 'purchase' event is matched to the same user's most recent
     'signup' at or before its timestamp. Plan: prune both sides at
-    the read (columns + row filter), hash-partition by the join key
-    via groupby(user_id), then per-group sort-right + searchsorted —
-    the standard partitioned-merge as-of contract. Partitioning
-    assumption: one user's history fits in a group (keys grow with
-    the corpus but per-key rows stay bounded); a hot key would take
-    a (key, time-bucket) split with boundary carry-forward, exactly
-    like events_sessions. Oracle: DuckDB's native ASOF LEFT JOIN."""
+    the read (columns + row filter), group_apply on user_id, then per
+    block one (user, ts) record-array searchsorted of the purchases
+    into the signups sorted by (user, ts, event_id), masking user
+    mismatches — the partitioned-merge as-of contract over every user
+    of the block at once. Partitioning assumption: one user's history
+    fits in a block (keys grow with the corpus but per-key rows stay
+    bounded); a hot key would take a (key, time-bucket) split with
+    boundary carry-forward, exactly like events_sessions. Oracle:
+    DuckDB's native ASOF LEFT JOIN."""
     def asof(df: pd.DataFrame) -> pd.DataFrame:
-        left = df[df["event_type"] == "purchase"]
-        right = df[df["event_type"] == "signup"].sort_values(
-            ["ts", "event_id"], kind="mergesort"
-        )
-        lts = left["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        rts = right["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        pos = np.searchsorted(rts, lts, side="right") - 1
+        (pe, pu, pt), right = _join_sides(df)
+        se, su, st = right
+        pos = _probe(right, pu, pt, "right") - 1
         matched = pos >= 0
-        sid = np.full(len(left), -1, dtype=np.int64)
-        lag = np.full(len(left), -1, dtype=np.int64)
-        sid[matched] = right["event_id"].to_numpy(np.int64)[pos[matched]]
-        lag[matched] = lts[matched] - rts[pos[matched]]
+        matched[matched] = su[pos[matched]] == pu[matched]
+        sid = np.full(len(pe), -1, dtype=np.int64)
+        lag = np.full(len(pe), -1, dtype=np.int64)
+        sid[matched] = se[pos[matched]]
+        lag[matched] = pt[matched] - st[pos[matched]]
         return pd.DataFrame(
             {
-                "event_id": left["event_id"].to_numpy(np.int64),
-                "user_id": left["user_id"].to_numpy(np.int64),
-                "ts_us": lts,
+                "event_id": pe,
+                "user_id": pu,
+                "ts_us": pt,
                 "signup_event_id": sid,
                 "asof_lag_us": lag,
             }
         )
 
-    return _purchases_and_signups(sf_dir).groupby("user_id").map_groups(
-        asof, batch_format="pandas")
+    return group_apply(_purchases_and_signups(sf_dir), "user_id", asof)
 
 
 def q_html_extract(sf_dir: str):
@@ -2738,37 +2742,29 @@ GROUP BY 1, 2 ORDER BY 1, 2
 def q_events_window_join(sf_dir: str):
     """Two-sided stream-stream WINDOW JOIN: each purchase matches ALL
     of the same user's signups within ±12 h. Same partitioned-merge
-    contract as the as-of join (hash-partition by user, per-group sort
-    + two searchsorted bounds per probe — O(log n) per event, output
-    bounded by the true match count). Oracle: DuckDB non-equi join."""
+    contract as the as-of join (group_apply on user, then two (user,
+    ts) searchsorted bounds per probe — O(log n) per event, output
+    bounded by the true match count; the match rows are expanded with
+    repeat/cumsum arithmetic). Oracle: DuckDB non-equi join."""
     _WJ = 43_200_000_000  # ±12 h in µs
 
     def wjoin(df: pd.DataFrame) -> pd.DataFrame:
-        left = df[df["event_type"] == "purchase"]
-        right = df[df["event_type"] == "signup"].sort_values(
-            ["ts", "event_id"], kind="mergesort"
-        )
-        lts = left["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        rts = right["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        lo = np.searchsorted(rts, lts - _WJ, side="left")
-        hi = np.searchsorted(rts, lts + _WJ, side="right")
-        counts = hi - lo
-        l_idx = np.repeat(np.arange(len(left)), counts)
-        r_idx = np.concatenate(
-            [np.arange(a, b) for a, b in zip(lo, hi)]
-        ) if len(left) else np.empty(0, np.int64)
-        rid = right["event_id"].to_numpy(np.int64)
+        (pe, pu, pt), right = _join_sides(df)
+        se, _, st = right
+        lo = _probe(right, pu, pt - _WJ, "left")
+        counts = _probe(right, pu, pt + _WJ, "right") - lo
+        l_idx = np.repeat(np.arange(len(pe)), counts)
+        r_idx = np.arange(len(l_idx)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         return pd.DataFrame(
             {
-                "event_id": left["event_id"].to_numpy(np.int64)[l_idx],
-                "user_id": left["user_id"].to_numpy(np.int64)[l_idx],
-                "signup_event_id": rid[r_idx],
-                "lag_us": lts[l_idx] - rts[r_idx],
+                "event_id": pe[l_idx],
+                "user_id": pu[l_idx],
+                "signup_event_id": se[r_idx],
+                "lag_us": pt[l_idx] - st[r_idx],
             }
         )
 
-    return _purchases_and_signups(sf_dir).groupby("user_id").map_groups(
-        wjoin, batch_format="pandas")
+    return group_apply(_purchases_and_signups(sf_dir), "user_id", wjoin)
 
 
 SQL_EVENTS_WINDOW_JOIN = """
@@ -2899,8 +2895,9 @@ def q_stratified_sample(sf_dir: str):
     reproducible per-stratum curation op (language rebalancing) at
     100 TB. Two passes: (1) tiny per-lang count aggregate broadcast to
     the workers, (2) per-batch partial top-quota per stratum (bounded:
-    <= quota rows per lang per batch) then a per-lang final trim whose
-    input is bounded by quota x n_blocks, never the corpus."""
+    <= quota rows per lang per batch) then the same top-quota cut as
+    the final trim, through group_apply on lang; its input is bounded
+    by quota x n_blocks, never the corpus."""
     import math
 
     RATE = 0.1
@@ -2911,27 +2908,28 @@ def q_stratified_sample(sf_dir: str):
         for _, r in counts.iterrows()
     }
 
+    def top_quota(d: pd.DataFrame) -> pd.DataFrame:
+        # rank within each lang run of the (lang, fp, doc_id) order
+        d = d.sort_values(["lang", "fp", "doc_id"], kind="mergesort")
+        starts, seg = runs(d["lang"].to_numpy())
+        rk = np.arange(len(d)) - starts[seg]
+        q = d["lang"].map(quota).fillna(0).to_numpy(np.int64)
+        return d[rk < q]
+
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame(
+        return top_quota(pd.DataFrame(
             {
                 "doc_id": df["doc_id"].to_numpy(np.int64),
                 "lang": df["lang"].to_numpy(),
                 "fp": textfn.fingerprint64(df["text"]),
             }
-        )
-        d = d.sort_values(["lang", "fp", "doc_id"], kind="mergesort")
-        rk = d.groupby("lang", sort=False).cumcount().to_numpy()
-        q = d["lang"].map(quota).fillna(0).to_numpy(np.int64)
-        return d[rk < q]
-
-    partials = ds.map_batches(partial, batch_format="pandas")
+        ))
 
     def trim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["fp", "doc_id"], kind="mergesort")
-        q = int(quota.get(df["lang"].iloc[0], 0))
-        return df.iloc[:q][["doc_id", "lang"]]
+        return top_quota(df)[["doc_id", "lang"]]
 
-    return partials.groupby("lang").map_groups(trim, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pandas")
+    return group_apply(partials, "lang", trim)
 
 
 SQL_STRATIFIED_SAMPLE = """
@@ -3056,11 +3054,10 @@ def q_corpus_curation(sf_dir: str):
     composite the LLM-data brief centers on: Gopher quality gate THEN
     exact dedup among the survivors (canonical = min doc_id of each
     content-hash class). One map stage computes signals + md5 per
-    batch (vectorized); one hash-partitioned shuffle (64-bucket
-    bucketed_group_apply) resolves canonicals; output is one decision
+    batch (vectorized); one group_apply sort on the md5 resolves
+    canonicals; output is one decision
     row per document. Oracle: the same gate + window-free canonical
     join in SQL."""
-    from ..functions.dedup import bucketed_group_apply
 
     def signals(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3089,7 +3086,7 @@ def q_corpus_curation(sf_dir: str):
             }
         )
 
-    return bucketed_group_apply(ds, "text_md5", resolve)
+    return group_apply(ds, "text_md5", resolve)
 
 
 SQL_CORPUS_CURATION = f"""
@@ -3262,8 +3259,9 @@ def q_inverted_index(sf_dir: str):
     """Posting lists for the corpus's top-20 terms: pass 1 aggregates
     term totals (map-side value_counts combiner) and broadcasts the
     top set; pass 2 tokenizes, filters to the set (pc.is_in), emits
-    per-batch-distinct (term, doc_id) pairs and groupby(term) builds
-    the sorted posting string. Posting lists are the one genuinely
+    per-batch-distinct (term, doc_id) pairs, and group_apply on the
+    term builds every term run's sorted posting string with one
+    list-join per block. Posting lists are the one genuinely
     list-valued output — serialized as comma strings so the value
     hash is format-stable across engines."""
     import pyarrow.compute as pc
@@ -3304,21 +3302,20 @@ def q_inverted_index(sf_dir: str):
         return df.drop_duplicates()
 
     def postings(df: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(df["doc_id"].to_numpy(np.int64))
+        df = df.drop_duplicates().sort_values(["term", "doc_id"], kind="mergesort")
+        starts = runs(df["term"].to_numpy())[0]
+        ids = pa.array(df["doc_id"].to_numpy(np.int64)).cast(pa.string())
+        lists = pa.ListArray.from_arrays(np.append(starts, len(df)).astype(np.int32), ids)
         return pd.DataFrame(
             {
-                "term": [df["term"].iloc[0]],
-                "n_docs": np.array([len(ids)], dtype=np.int64),
-                "postings": [",".join(map(str, ids))],
+                "term": df["term"].to_numpy()[starts],
+                "n_docs": np.diff(np.append(starts, len(df))),
+                "postings": pc.binary_join(lists, ",").to_pandas(),
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(postings, batch_format="pandas")
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    return group_apply(docs.map_batches(pairs, batch_format="pyarrow"), "term", postings)
 
 
 SQL_INVERTED_INDEX = """
@@ -3392,29 +3389,27 @@ GROUP BY 1 ORDER BY n DESC, bigram LIMIT 30
 def q_token_quantiles(sf_dir: str):
     """Exact per-source n_chars quantiles (p25/p50/p75), discrete
     semantics: sorted[ceil(q*n)-1], matching DuckDB quantile_disc.
-    Source cardinality is bounded (it does not grow with the corpus),
-    so per-key map_groups is the right contract; unbounded keys would
-    need a sort-based or sketch (t-digest) plan instead."""
+    group_apply on the source, then per block one sort by (source,
+    n_chars) and a gather at ``start + ceil(q*n) - 1`` of every source
+    run."""
 
     def qs(df: pd.DataFrame) -> pd.DataFrame:
-        v = np.sort(df["n_chars"].to_numpy(np.int64))
-        n = len(v)
-        idx = lambda q: v[int(np.ceil(q * n)) - 1]  # noqa: E731
+        df = df.sort_values(["source", "n_chars"], kind="mergesort")
+        v = df["n_chars"].to_numpy(np.int64)
+        starts = runs(df["source"].to_numpy())[0]
+        n = np.diff(np.append(starts, len(v)))
+        at = lambda q: v[starts + np.ceil(q * n).astype(np.int64) - 1]  # noqa: E731
         return pd.DataFrame(
             {
-                "source": [df["source"].iloc[0]],
-                "n_docs": np.array([n], dtype=np.int64),
-                "q25": np.array([idx(0.25)], dtype=np.int64),
-                "q50": np.array([idx(0.50)], dtype=np.int64),
-                "q75": np.array([idx(0.75)], dtype=np.int64),
+                "source": df["source"].to_numpy()[starts],
+                "n_docs": n,
+                "q25": at(0.25),
+                "q50": at(0.50),
+                "q75": at(0.75),
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["source", "n_chars"])
-        .groupby("source")
-        .map_groups(qs, batch_format="pandas")
-    )
+    return group_apply(_read(sf_dir, "documents", ["source", "n_chars"]), "source", qs)
 
 
 SQL_TOKEN_QUANTILES = """
@@ -3785,7 +3780,7 @@ SELECT 'bigram' AS kind, bigram AS gram, n FROM ({SQL_BIGRAM_STATS})
 def q_dedup_surface(sf_dir: str):
     """Exact dedup + normalization-aware dedup tag-union on (method,
     key_md5, keep_doc_id, n_dups) — both members keep the map-side
-    hash + 64-bucket collapse shape."""
+    hash + group_apply collapse shape."""
     kept = {"keep_doc_id": "keep_doc_id", "n_dups": "n_dups"}
     return _tag_union("method", [
         ("exact", q_dedup_exact(sf_dir), {"key_md5": "text_md5", **kept}),

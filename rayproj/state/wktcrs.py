@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sqlite3
 
 from ..core.wkt import WKTNode, parse_wkt
 
@@ -968,13 +969,14 @@ _WKT_KEYWORDS = ("GEOGCS", "GEOGCRS", "GEODCRS", "GEOGRAPHICCRS",
 def wkt_import(text: str):
     """WKT text (WKT1-GDAL or WKT2) -> (warnings, crs_dict) for the
     projinfo describe surface, or None when the text is not an
-    importable CRS form (caller falls back to other paths)."""
+    importable CRS form (caller falls back to other paths). A missing
+    EPSG registry is not such a form: its FileNotFoundError propagates."""
     head = text.lstrip()[:16].upper()
     if not any(head.startswith(k) for k in _WKT_KEYWORDS):
         return None
     try:
         root = parse_wkt(text)
-    except Exception:
+    except ValueError:
         return None
     kw = root.keyword
     try:
@@ -998,6 +1000,8 @@ def wkt_import(text: str):
             return [], _build_vertical(root)
         if kw in ("COMPD_CS", "COMPOUNDCRS"):
             return [], _build_compound(root)
-    except Exception:
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            sqlite3.Error):
+        # malformed or unknown CRS text
         return None
     return None

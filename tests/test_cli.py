@@ -236,6 +236,32 @@ def test_cs2cs_lat_first_without_registry_is_an_error(monkeypatch, tmp_path, cap
     assert "EPSG registry unavailable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("wkt", [
+    'VERT_CS["EGM96 height",VERT_DATUM["EGM96 geoid",2005],'
+    'UNIT["metre",1],AXIS["Gravity-related height",UP]]',
+    'PROJCRS["t",BASEGEOGCRS["g",DATUM["d",ELLIPSOID["WGS 84",6378137,'
+    '298.257223563]]],CONVERSION["c",METHOD["Transverse Mercator"],'
+    'PARAMETER["Longitude of natural origin",9]],CS[Cartesian,2]]',
+], ids=["vert_cs", "wkt2_tmerc"])
+def test_projinfo_wkt_without_registry_is_an_error(monkeypatch, tmp_path, capsys, wkt):
+    # the WKT's units and datums resolve through the EPSG registry; a
+    # stale registry file with no SQL scripts to rebuild it from must be
+    # reported as such, not read as "not a CRS" and described some other way
+    from rayproj.state import projdb, wktcrs
+
+    stale = tmp_path / "stale.db"
+    stale.write_bytes(b"")
+    monkeypatch.setattr(projdb, "SQL_DIR", str(tmp_path / "no_sql"))
+    monkeypatch.setattr(projdb, "PROJDB_PATH", str(stale))
+    monkeypatch.setattr(projdb, "_conn", None)
+    with pytest.raises(FileNotFoundError):
+        wktcrs.wkt_import(wkt)
+    rc, out = _run(["projinfo", wkt], "")
+    assert rc != 0
+    assert out == ""
+    assert "EPSG registry unavailable" in capsys.readouterr().err
+
+
 def test_list_flags(capsys):
     from rayproj.cli import main
 

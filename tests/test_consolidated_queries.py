@@ -6,7 +6,8 @@ is registered in QUERIES or composed by another ``q_*``; the geolocate
 guard keeps one per-doc read + geolocate path (``_per_doc``); the
 top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
 polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
-read guard keeps one parquet read (``_read_path``)."""
+read guard keeps one parquet read (``_read_path``); the per-key guard
+keeps one keyed group-apply (``dedup.group_apply``)."""
 
 import ast
 import os
@@ -167,3 +168,38 @@ def test_one_read_path():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read_parquet"
     )
     assert callers == ["_read_path"]
+
+
+def test_one_group_apply():
+    """Every keyed group-apply in ``rayproj/`` is ``dedup.group_apply``:
+    no per-key ``map_groups``, no ``n_buckets`` and no ``& 0x7FFFFFFF``
+    bucket hash, and ``sort(...).map_batches(..., batch_size=None)``
+    appears only in ``group_apply``."""
+    def sort_then_block_map(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "map_batches"
+                and isinstance(node.func.value, ast.Call)
+                and getattr(node.func.value.func, "attr", None) == "sort"
+                and any(k.arg == "batch_size" and isinstance(k.value, ast.Constant)
+                        and k.value.value is None for k in node.keywords))
+
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    sites = []
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                src = f.read()
+            assert "map_groups" not in src, path
+            assert "n_buckets" not in src, path
+            tree = ast.parse(src)
+            assert not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitAnd)
+                           and any(isinstance(x, ast.Constant) and x.value == 0x7FFFFFFF
+                                   for x in (n.left, n.right))
+                           for n in ast.walk(tree)), path
+            sites += [(os.path.relpath(path, root), fn.name)
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for n in ast.walk(fn) if sort_then_block_map(n)]
+    assert sites == [(os.path.join("functions", "dedup.py"), "group_apply")]

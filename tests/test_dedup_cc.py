@@ -99,3 +99,37 @@ def test_cc_million_edge_graph(ray_session):
     exp = (out["node"].to_numpy(np.int64) // size) * size
     assert (out["label"].to_numpy(np.int64) == exp).all()
     assert elapsed < 300, f"CC on 1M edges took {elapsed:.0f}s"
+
+
+@pytest.mark.parametrize("key", ["key", ["band", "key"]])
+def test_group_apply_colocates_every_key_run(ray_session, key):
+    """group_apply hands every key's whole run to one ``fn`` call:
+    12 input blocks, one hot key holding over half the rows (it
+    straddles the sampled sort boundaries), thousands of small keys,
+    and a two-column (band, key) key shaped like simhash's buckets."""
+    import ray.data as rd
+
+    cols = [key] if isinstance(key, str) else key
+    rng = np.random.default_rng(5)
+    n = 40_000
+    hot = rng.random(n) < 0.55
+    df = pd.DataFrame({
+        "band": np.where(hot, 0, rng.integers(0, 4, n)),
+        "key": np.where(hot, 7, rng.integers(0, 5_000, n)),
+        "x": np.arange(n),
+    }).sample(frac=1, random_state=1)
+    ds = rd.from_pandas([df.iloc[i::12] for i in range(12)]).materialize()
+    assert ds.num_blocks() >= 8
+
+    def per_run(block: pd.DataFrame) -> pd.DataFrame:
+        starts = dedup.runs(*(block[c].to_numpy() for c in cols))[0]
+        out = block.iloc[starts][cols].reset_index(drop=True)
+        out["rows"] = np.diff(np.append(starts, len(block)))
+        return out
+
+    got = dedup.group_apply(ds, key, per_run).to_pandas()
+    want = df.groupby(cols).size().rename("rows").reset_index()
+    assert not got.duplicated(cols).any()  # every key exactly once
+    got = got.sort_values(cols).reset_index(drop=True)
+    assert want["rows"].max() > n // 2
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)

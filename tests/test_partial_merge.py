@@ -2,7 +2,9 @@
 q_events_sessions, q_tfidf_top and flagship.tile_stats against their
 DuckDB twins on tables this module writes itself — empty, and split
 across several parquet files so the merge sees partials from more than
-one block (the query layer reads one block per file)."""
+one block (the query layer reads one block per file). The group_apply
+queries run on the same split tables: their per-block kernels must be
+exact whatever mix of key runs a sorted block holds."""
 
 import duckdb
 import numpy as np
@@ -133,3 +135,22 @@ def test_tfidf_top_on_sharded_documents(tmp_path, ray_session, sf_dir):
     _write(tmp_path, "documents", pq.read_table(f"{sf_dir}/documents.parquet"), 4)
     assert _n_blocks(tmp_path, "documents") == 4
     _assert_same(q.q_tfidf_top(str(tmp_path)), _oracle(tmp_path, "tfidf_top"))
+
+
+# the group_apply queries and the tables they read
+GROUPED = {
+    "events_joins": "events", "sampling": "documents",
+    "inverted_index": "documents", "token_quantiles": "documents",
+    "embed_neardup": "embeddings", "simhash_neardup": "documents",
+    "dedup_clusters": "documents",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_grouped_queries_exact_across_blocks(name, tmp_path, ray_session, sf_dir):
+    table = GROUPED[name]
+    _write(tmp_path, table, pq.read_table(f"{sf_dir}/{table}.parquet"), 4)
+    assert _n_blocks(tmp_path, table) == 4
+    want = _oracle(tmp_path, name)
+    assert len(want) > 0
+    _assert_same(q.QUERIES[name](str(tmp_path)).to_pandas(), want)
