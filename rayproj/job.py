@@ -12,7 +12,8 @@ Re-submitting after a failure resumes: partitions with a valid
 per-partition lineage record (input signature + pipeline version) are
 skipped, only missing/invalidated ones recompute
 (rayproj/pipelines/lineage.py). Exit is a single JSON line with per-run
-metrics so the submitting side can scrape progress.
+metrics (parts computed and skipped, rows written, compressed input
+bytes read, seconds) so the submitting side can scrape progress.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ def main(argv: list[str] | None = None) -> int:
         key_col=args.key_col, lang_col=args.lang_col,
         pipeline_version=args.pipeline_version,
     )
-    rows = sum(r["metrics"].get("rows", 0) for r in records)
     print(json.dumps({
         "computed_parts": len(records),
         "skipped_parts": len(skipped),
-        "rows_written": rows,
+        "rows_written": sum(r["metrics"]["rows"] for r in records),
+        "input_bytes_read": sum(r["metrics"]["input_bytes"] for r in records),
         "seconds": round(time.time() - t0, 3),
         "output": args.output,
     }))

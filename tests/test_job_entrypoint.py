@@ -23,11 +23,14 @@ def test_job_run_and_resume(ray_session, tmp_path, capsys):
         for p in range(4)
     )
     assert total == rep1["rows_written"] > 0
+    # one-row-group input: read once for all 4 parts
+    assert 0 < rep1["input_bytes_read"] <= os.path.getsize(inp)
 
     # resume: everything is already checkpointed
     assert main(["--input", inp, "--output", out, "--partitions", "4"]) == 0
     rep2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep2["computed_parts"] == 0 and rep2["skipped_parts"] == 4
+    assert rep2["input_bytes_read"] == 0
 
     # --no-resume forces recompute
     assert main(["--input", inp, "--output", out, "--partitions", "4",

@@ -7,7 +7,8 @@ import os
 import pyarrow.parquet as pq
 import pytest
 
-from rayproj.pipelines.lineage import checkpointed_flagship
+from rayproj.pipelines.lineage import (LineageWriter, checkpointed_flagship,
+                                       partitions, read_plan)
 
 SRC = "/root/testdata/sf0.001/documents.parquet"
 
@@ -116,3 +117,156 @@ def test_crash_between_rename_and_record_recomputes_part(ray_session, tmp_path):
     rec = json.load(open(os.path.join(crashed, "_lineage", "part=1.json")))
     ref = json.load(open(os.path.join(clean, "_lineage", "part=1.json")))
     assert rec["digest"] == ref["digest"]
+
+
+def test_corrupt_same_size_part_is_recomputed(ray_session, tmp_path):
+    """A flipped byte in a committed part leaves its size unchanged; the
+    content digest catches it and the resume recomputes exactly that
+    part, back to the bytes of a clean run."""
+    clean = str(tmp_path / "clean")
+    checkpointed_flagship(SRC, clean, n_partitions=3)
+
+    out = str(tmp_path / "out")
+    checkpointed_flagship(SRC, out, n_partitions=3)
+    data = os.path.join(out, "part=1", "data.parquet")
+    size = os.path.getsize(data)
+    with open(data, "r+b") as f:
+        f.seek(size // 2)
+        byte = f.read(1)
+        f.seek(size // 2)
+        f.write(bytes([byte[0] ^ 0xFF]))
+    assert os.path.getsize(data) == size
+
+    recs, skipped = checkpointed_flagship(SRC, out, n_partitions=3)
+    assert [r["part"] for r in recs] == [1] and skipped == [0, 2]
+    assert _tree_bytes(out) == _tree_bytes(clean)
+
+
+def test_interrupted_run_resumes_uncommitted_parts(ray_session, tmp_path, monkeypatch):
+    """The driver stops at the second commit: one part is committed, the
+    others are staged or not started. The resume recomputes exactly the
+    uncommitted parts and the tree matches an uninterrupted run."""
+    clean = str(tmp_path / "clean")
+    checkpointed_flagship(SRC, clean, n_partitions=4)
+
+    commit = LineageWriter.commit
+    calls = []
+
+    def commit_once(self, *args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("driver stopped")
+        return commit(self, *args, **kwargs)
+
+    monkeypatch.setattr(LineageWriter, "commit", commit_once)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="driver stopped"):
+        checkpointed_flagship(SRC, out, n_partitions=4)
+    monkeypatch.setattr(LineageWriter, "commit", commit)
+    assert sorted(os.listdir(os.path.join(out, "_lineage"))) == ["part=0.json"]
+
+    recs, skipped = checkpointed_flagship(SRC, out, n_partitions=4)
+    assert [r["part"] for r in recs] == [1, 2, 3] and skipped == [0]
+    assert _tree_bytes(out) == _tree_bytes(clean)
+
+
+def _write_docs(path, tbl, **kwargs):
+    pq.write_table(tbl, str(path), **kwargs)
+    return str(path)
+
+
+@pytest.fixture()
+def plan_inputs(tmp_path):
+    """name -> (input path, n_partitions) for the read-plan cases."""
+    tbl = pq.read_table(SRC)
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    for i, (lo, n) in enumerate([(0, 100), (100, 250), (350, 150)]):
+        _write_docs(shards / f"s{i}.parquet", tbl.slice(lo, n), row_group_size=64)
+    return {
+        "one_group": (SRC, 4),
+        "groups_of_64": (_write_docs(tmp_path / "g64.parquet", tbl, row_group_size=64), 3),
+        "directory": (str(shards), 0),
+        "zero_rows": (_write_docs(tmp_path / "empty.parquet", tbl.slice(0, 0)), 4),
+        "600_parts": (SRC, 600),
+    }
+
+
+@pytest.mark.parametrize("case", ["one_group", "groups_of_64", "directory",
+                                  "zero_rows", "600_parts"])
+@pytest.mark.parametrize("which", ["all", "odd"])
+def test_read_plan(plan_inputs, case, which):
+    """Every planned (file, row group) is read once, the planned slices
+    cover exactly the pending rows, and the planned compressed bytes
+    stay within 1.2x the input files — for a full run and a resume of
+    the odd parts."""
+    path, n = plan_inputs[case]
+    metas, shards = partitions(path, n)
+    parts = shards if which == "all" else shards[1::2]
+    reads, spans = read_plan(parts, metas)
+
+    assert len({(f, g) for f, g, _ in reads}) == len(reads)
+    starts = {}
+    for f, meta in metas.items():
+        sizes = [meta.row_group(g).num_rows for g in range(meta.num_row_groups)]
+        starts[f] = [sum(sizes[:g]) for g in range(len(sizes))]
+    for (f, lo, hi), part_spans in zip(parts, spans):
+        rows = []
+        for r, off, length in part_spans:
+            rf, g, _ = reads[r]
+            assert rf == f and length > 0
+            assert off + length <= metas[f].row_group(g).num_rows
+            rows.extend(range(starts[f][g] + off, starts[f][g] + off + length))
+        assert rows == list(range(lo, hi))
+    used = {r for part_spans in spans for r, _, _ in part_spans}
+    assert used == set(range(len(reads)))
+    planned = sum(b for _, _, b in reads)
+    assert planned <= 1.2 * sum(os.path.getsize(f) for f in metas)
+
+
+def test_lineage_reads_by_row_group():
+    """lineage.py has one parquet read, a row-group read: no whole-file
+    ``read_table``."""
+    import ast
+
+    import rayproj.pipelines.lineage as lineage
+
+    with open(lineage.__file__) as f:
+        tree = ast.parse(f.read())
+    calls = [n.func.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr.startswith("read_") and n.func.attr != "read_metadata"]
+    assert calls == ["read_row_group"]
+
+
+def test_zero_row_and_overpartitioned_inputs(ray_session, tmp_path):
+    """A zero-row file gives empty parts, 600 parts over 500 rows give
+    100 empty ones; both resume with every part skipped."""
+    empty = _write_docs(tmp_path / "empty.parquet", pq.read_table(SRC).slice(0, 0))
+    out = str(tmp_path / "empty_out")
+    recs, skipped = checkpointed_flagship(empty, out, n_partitions=4)
+    assert [r["metrics"]["rows"] for r in recs] == [0] * 4 and not skipped
+    assert sum(r["metrics"]["input_bytes"] for r in recs) == 0
+    assert pq.read_table(os.path.join(out, "part=3")).num_rows == 0
+    assert checkpointed_flagship(empty, out, n_partitions=4) == ([], [0, 1, 2, 3])
+
+    out = str(tmp_path / "many_out")
+    recs, skipped = checkpointed_flagship(SRC, out, n_partitions=600)
+    rows = [r["metrics"]["rows"] for r in recs]
+    assert len(rows) == 600 and sum(rows) == 500 and rows.count(0) == 100
+    assert sum(r["metrics"]["input_bytes"] for r in recs) <= 1.2 * os.path.getsize(SRC)
+    assert checkpointed_flagship(SRC, out, n_partitions=600) == ([], list(range(600)))
+
+
+def test_multi_row_group_input_matches_single_group(ray_session, tmp_path):
+    """Parts that straddle 64-row groups produce the same tables as the
+    same parts of a one-group file, and read the file once."""
+    g64 = _write_docs(tmp_path / "g64.parquet", pq.read_table(SRC), row_group_size=64)
+    one, many = str(tmp_path / "one"), str(tmp_path / "many")
+    checkpointed_flagship(SRC, one, n_partitions=3)
+    recs, _ = checkpointed_flagship(g64, many, n_partitions=3)
+    assert sum(r["metrics"]["input_bytes"] for r in recs) <= 1.2 * os.path.getsize(g64)
+    for p in range(3):
+        want = pq.read_table(os.path.join(one, f"part={p}"))
+        got = pq.read_table(os.path.join(many, f"part={p}"))
+        assert got.num_rows > 0 and got.equals(want)
