@@ -114,19 +114,21 @@ def run_flagship(ds, key_col="url", lang_col="lang", batch_size=None,
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
-def merge_partials(partials_ds, by: str, sums: dict) -> pd.DataFrame:
-    """Driver-side merge of bounded-key partial aggregates: the
-    ``partials_ds`` rows are summed per ``by`` key and each ``sums``
-    column is renamed to its value. The partial stream is small by
-    construction (at most blocks × distinct keys rows), so it is
-    collected with ``to_pandas`` instead of going through a Ray Data
-    sort shuffle. Always returns ``[by, *sums.values()]``, also when the
-    input has no rows (no block may reach the driver then)."""
+def merge_partials(partials_ds, by: dict, aggs: dict) -> pd.DataFrame:
+    """The driver-side merge of bounded-key partial aggregates. ``by``
+    maps each key column to its dtype; ``aggs`` is a pandas
+    named-aggregation map ``{out: (partial_col, "sum" | "min")}`` over
+    int64 partials. The partial stream is small by construction (at
+    most blocks × distinct keys rows), so it is collected with
+    ``to_pandas`` and combined by one pandas ``groupby`` instead of a
+    Ray Data sort shuffle. Returns ``[*by, *aggs]`` sorted by the keys,
+    also on zero rows: Ray Data does not call a map's function on an
+    empty block, so no partial schema reaches the driver then, and the
+    dtypes in ``by`` stand in for it."""
     df = partials_ds.to_pandas()
     if df.columns.empty:
-        df = pd.DataFrame(columns=[by, *sums], dtype=np.int64)
-    out = df.groupby(by, as_index=False)[list(sums)].sum()
-    return out.rename(columns=sums)
+        df = pd.DataFrame(columns=[*by, *(c for c, _ in aggs.values())], dtype=np.int64)
+    return df.astype(by).groupby(list(by), as_index=False).agg(**aggs)
 
 
 def tile_stats(ds) -> pd.DataFrame:
@@ -140,4 +142,4 @@ def tile_stats(ds) -> pd.DataFrame:
         return pa.table({"tile": uniq, "n_partial": counts.astype(np.int64)})
 
     parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return merge_partials(parts, "tile", {"n_partial": "n_docs"})
+    return merge_partials(parts, {"tile": np.int64}, {"n_docs": ("n_partial", "sum")})

@@ -568,7 +568,8 @@ def q_tile_stats(sf_dir: str):
         uniq, counts = np.unique(key, return_counts=True)
         return {"tile_key": uniq, "n_partial": counts.astype(np.int64)}
 
-    return merge_partials(_per_doc(sf_dir, partial), "tile_key", {"n_partial": "n_docs"})
+    return merge_partials(_per_doc(sf_dir, partial), {"tile_key": np.int64},
+                          {"n_docs": ("n_partial", "sum")})
 
 
 SQL_TILE_STATS = f"""
@@ -618,25 +619,21 @@ def q_zonal_stats(sf_dir: str):
     """Zonal statistics — the vector-side raster↔vector aggregation:
     per-polygon doc count and doc_id sum. PIP against the per-worker
     polygon index is fused with a per-batch ``np.bincount`` over
-    poly_id, so each batch emits at most N_POLYS+1 partial rows
-    (blocks × (N_POLYS+1) in all, never doc rows) and
-    ``merge_partials`` sums them on the driver."""
+    poly_id (the doc_id sums in int64, exact past 2^53), so each batch
+    emits at most N_POLYS+1 partial rows (blocks × (N_POLYS+1) in all,
+    never doc rows) and ``merge_partials`` sums them on the driver."""
 
     def partial(ids, lon, lat):
         pid = layer_index(N_POLYS).assign(lon, lat).astype(np.int64)
         shifted = pid + 1  # -1 (no polygon) → bin 0
         n = np.bincount(shifted, minlength=N_POLYS + 1)
-        s = np.bincount(shifted, weights=ids.astype(np.float64),
-                        minlength=N_POLYS + 1)
+        s = np.zeros(N_POLYS + 1, dtype=np.int64)
+        np.add.at(s, shifted, ids)
         keep = n > 0
-        return {
-            "poly_id": pa.array(np.nonzero(keep)[0] - 1, type=pa.int64()),
-            "n_partial": n[keep].astype(np.int64),
-            "s_partial": s[keep].astype(np.int64),
-        }
+        return {"poly_id": np.nonzero(keep)[0] - 1, "n_partial": n[keep], "s_partial": s[keep]}
 
-    return merge_partials(_per_doc(sf_dir, partial), "poly_id",
-                          {"n_partial": "n_docs", "s_partial": "sum_doc_id"})
+    return merge_partials(_per_doc(sf_dir, partial), {"poly_id": np.int64},
+                          {"n_docs": ("n_partial", "sum"), "sum_doc_id": ("s_partial", "sum")})
 
 
 SQL_ZONAL_STATS = f"""
@@ -823,45 +820,31 @@ FROM v ORDER BY doc_id
 
 
 def q_agg_lineitem(sf_dir: str):
-    """TPC-H Q1-flavoured pricing summary with exact integer cents."""
-    from ray.data.aggregate import Sum
+    """TPC-H Q1-flavoured pricing summary with exact integer cents. Each
+    block reduces to one int64 partial row per (l_returnflag,
+    l_linestatus) pair, so at most blocks × 6 rows (3 return flags × 2
+    line statuses) reach ``merge_partials`` whatever the row count."""
 
-    def prep(batch: pa.Table) -> pa.Table:
-        """Map-side partial aggregate: the shuffle carries ≤
-        blocks × 6 group rows instead of every lineitem row."""
-        qty = batch.column("l_quantity").to_numpy().astype(np.int64)
-        price = batch.column("l_extendedprice").to_numpy()
-        disc = batch.column("l_discount").to_numpy()
-        price_cents = np.round(price * 100).astype(np.int64)
-        disc_bp = np.round(disc * 100).astype(np.int64)
-        revenue = price_cents * (100 - disc_bp)
-        rf = batch.column("l_returnflag").to_numpy(zero_copy_only=False)
-        ls = batch.column("l_linestatus").to_numpy(zero_copy_only=False)
-        pairs, code = np.unique(np.char.add(rf.astype("U1"), ls.astype("U1")),
-                                return_inverse=True)
-        g = len(pairs)
-        return pa.table(
-            {
-                "l_returnflag": pa.array([p[0] for p in pairs]),
-                "l_linestatus": pa.array([p[1] for p in pairs]),
-                "qty_p": pa.array(np.bincount(code, qty.astype(np.float64), g).astype(np.int64)),
-                "price_p": pa.array(np.bincount(code, price_cents.astype(np.float64), g).astype(np.int64)),
-                "rev_p": pa.array(np.bincount(code, revenue.astype(np.float64), g).astype(np.int64)),
-                "n_p": pa.array(np.bincount(code, minlength=g).astype(np.int64)),
-            }
-        )
+    def partial(batch: pa.Table) -> pa.Table:
+        price_cents = np.round(batch.column("l_extendedprice").to_numpy() * 100).astype(np.int64)
+        disc_bp = np.round(batch.column("l_discount").to_numpy() * 100).astype(np.int64)
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
+            "qty": batch.column("l_quantity").to_numpy().astype(np.int64),
+            "price": price_cents,
+            "rev": price_cents * (100 - disc_bp),
+        }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
+            [("qty", "sum"), ("price", "sum"), ("rev", "sum"), ([], "count_all")])
 
-    ds = _read(
+    parts = _read(
         sf_dir, "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("qty_p", alias_name="sum_qty"),
-        Sum("price_p", alias_name="sum_price_cents"),
-        Sum("rev_p", alias_name="sum_revenue"),
-        Sum("n_p", alias_name="n_rows"),
-    )
-    return out
+    ).map_batches(partial, batch_format="pyarrow")
+    return merge_partials(parts, {"l_returnflag": object, "l_linestatus": object}, {
+        "sum_qty": ("qty_sum", "sum"), "sum_price_cents": ("price_sum", "sum"),
+        "sum_revenue": ("rev_sum", "sum"), "n_rows": ("count_all", "sum"),
+    })
 
 
 SQL_AGG_LINEITEM = """
@@ -878,10 +861,10 @@ def q_join_orders_customer(sf_dir: str):
     """Broadcast hash join: the small customer side is put in the
     object store ONCE as sorted key/segment arrays and looked up with
     np.searchsorted inside each batch — no Python dict, no per-row
-    .map. Each worker also pre-aggregates (segment → count/sum) so the
-    groupby shuffle moves ≤ blocks × n_segments tiny rows."""
+    .map. Each block reduces to int64 (segment → count/cents) partials,
+    at most blocks × (segments + UNKNOWN) rows (5 + 1 in TPC-H), which
+    ``merge_partials`` sums on the driver."""
     import ray
-    from ray.data.aggregate import Sum
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
     keys = cust["c_custkey"].to_numpy(np.int64)
@@ -898,24 +881,22 @@ def q_join_orders_customer(sf_dir: str):
         pos = np.clip(pos, 0, len(skeys) - 1)
         hit = skeys[pos] == ck
         cents = np.round(batch["o_totalprice"].to_numpy() * 100).astype(np.int64)
-        # map-side partial aggregate per segment code (+1 slot for misses)
+        # partial aggregate per segment code (+1 slot for misses)
         code = np.where(hit, scodes[pos], len(snames))
         n = np.bincount(code, minlength=len(snames) + 1)
-        tot = np.bincount(code, weights=cents.astype(np.float64),
-                          minlength=len(snames) + 1).astype(np.int64)
+        tot = np.zeros(len(snames) + 1, dtype=np.int64)
+        np.add.at(tot, code, cents)
         names = np.append(snames, "UNKNOWN")
         keep = n > 0
         return pd.DataFrame(
-            {"c_mktsegment": names[keep], "n_part": n[keep].astype(np.int64),
-             "cents_part": tot[keep]}
+            {"c_mktsegment": names[keep], "n_part": n[keep], "cents_part": tot[keep]}
         )
 
     partials = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         joiner, batch_format="pandas"
     )
-    return partials.groupby("c_mktsegment").aggregate(
-        Sum("n_part", alias_name="n_orders"), Sum("cents_part", alias_name="total_cents")
-    )
+    return merge_partials(partials, {"c_mktsegment": object}, {
+        "n_orders": ("n_part", "sum"), "total_cents": ("cents_part", "sum")})
 
 
 SQL_JOIN = """
@@ -927,28 +908,23 @@ GROUP BY 1 ORDER BY 1
 
 
 def q_events_window(sf_dir: str):
-    """Tumbling 1-hour windows per event type (streaming-shaped input)."""
-    from ray.data.aggregate import Count, Sum
+    """Tumbling 1-hour windows per event type (streaming-shaped input).
+    Each block reduces to one partial row per (event_type, window) it
+    holds, so at most blocks × types × hours-spanned rows (5 × 720 for
+    the 30 days of events) reach ``merge_partials``, never event rows."""
 
-    def prep(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").to_numpy()
-        epoch = ts.astype("datetime64[s]").astype(np.int64)
-        window = epoch // 3600
-        cents = np.floor(batch.column("value").to_numpy() * 100).astype(np.int64)
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "window": pa.array(window),
-                "value_cents": pa.array(cents),
-            }
-        )
+    def partial(batch: pa.Table) -> pa.Table:
+        epoch = batch.column("ts").to_numpy().astype("datetime64[s]").astype(np.int64)
+        return pa.table({
+            "event_type": batch.column("event_type"),
+            "window": epoch // 3600,
+            "cents": np.floor(batch.column("value").to_numpy() * 100).astype(np.int64),
+        }).group_by(["event_type", "window"]).aggregate([("cents", "sum"), ([], "count_all")])
 
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
-        prep, batch_format="pyarrow"
-    )
-    return ds.groupby(["event_type", "window"]).aggregate(
-        Count(alias_name="n_events"), Sum("value_cents", alias_name="sum_cents")
-    )
+    parts = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        partial, batch_format="pyarrow")
+    return merge_partials(parts, {"event_type": object, "window": np.int64}, {
+        "n_events": ("count_all", "sum"), "sum_cents": ("cents_sum", "sum")})
 
 
 SQL_EVENTS_WINDOW = """
@@ -1056,11 +1032,12 @@ FROM orders ORDER BY price_cents DESC, o_orderkey LIMIT 10
 
 
 def q_distinct_brands(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    return _read(sf_dir, "part", ["p_brand"]).groupby("p_brand").aggregate(
-        Count(alias_name="n_parts")
-    )
+    """Parts per brand: each block counts its brands, at most blocks ×
+    25 rows (TPC-H's Brand#MN), and ``merge_partials`` sums them."""
+    parts = _read(sf_dir, "part", ["p_brand"]).map_batches(
+        lambda t: t.group_by("p_brand").aggregate([([], "count_all")]),
+        batch_format="pyarrow")
+    return merge_partials(parts, {"p_brand": object}, {"n_parts": ("count_all", "sum")})
 
 
 SQL_DISTINCT_BRANDS = "SELECT p_brand, COUNT(*) AS n_parts FROM part GROUP BY 1 ORDER BY 1"
@@ -1102,30 +1079,25 @@ FROM documents GROUP BY 1 ORDER BY 1
 
 
 def q_source_stats(sf_dir: str):
-    """Per-source corpus stats via MAP-SIDE PARTIAL AGGREGATION: each
-    batch emits one row per source (count, sum, min) and the shuffle
-    only moves those partials — the combiner pattern for low-cardinality
-    keys at 100 TB (contrast group_apply, which is for keys
-    that grow with the corpus)."""
-    from ray.data.aggregate import Min, Sum
+    """Per-source corpus stats via map-side partial aggregation: each
+    batch emits one row per source (count, sum, min), at most blocks ×
+    20 rows (the corpus's sources), and ``merge_partials`` combines them
+    on the driver (contrast group_apply, which is for keys that grow
+    with the corpus)."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("source", sort=False)
-        out = g.agg(
+        return df.groupby("source", sort=False).agg(
             n_docs=("doc_id", "size"),
             total_chars=("n_chars", "sum"),
             min_doc_id=("doc_id", "min"),
         ).reset_index()
-        return out
 
     partials = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"]).map_batches(
         partial, batch_format="pandas"
     )
-    return partials.groupby("source").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Sum("total_chars", alias_name="total_chars"),
-        Min("min_doc_id", alias_name="min_doc_id"),
-    )
+    return merge_partials(partials, {"source": object}, {
+        "n_docs": ("n_docs", "sum"), "total_chars": ("total_chars", "sum"),
+        "min_doc_id": ("min_doc_id", "min")})
 
 
 SQL_SOURCE_STATS = """
@@ -1145,7 +1117,11 @@ def q_source_top_chars(sf_dir: str):
     partials = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"]).map_batches(
         top3, batch_format="pandas"
     )
-    return top3(partials.to_pandas())[["source", "rank", "doc_id", "n_chars"]]
+    df = partials.to_pandas()
+    if df.columns.empty:  # no block, so no schema, reaches the driver from an empty read
+        df = pd.DataFrame(columns=["doc_id", "source", "n_chars"]).astype(
+            {"doc_id": np.int64, "n_chars": np.int64})
+    return top3(df)[["source", "rank", "doc_id", "n_chars"]]
 
 
 SQL_SOURCE_TOP_CHARS = """
@@ -2691,39 +2667,27 @@ ORDER BY e.event_id, w.window_id
 def q_events_sliding_window(sf_dir: str):
     """SLIDING (hopping) window aggregate: 40-hour windows every 16
     hours, so each event lands in up to 3 overlapping windows. The
-    explode is fused with a per-batch PARTIAL aggregate (np.unique
-    over the composite (window, type) key), so the shuffle moves only
-    tiny partials — never the 2.5x-exploded event rows. The global
-    combine is a small multi-key groupby. This is the standard
-    streaming hopping-window contract expressed as batch transforms."""
-    from ray.data.aggregate import Sum
+    explode is fused with a per-block partial aggregate over the
+    (window_id, event_type) key, at most blocks × 45 windows × 5 types
+    rows, so the 2.5x-exploded event rows never leave their
+    block and ``merge_partials`` sums the partials on the driver. This
+    is the streaming hopping-window contract expressed as batch
+    transforms."""
 
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ts = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        cents = np.floor(df["value"].to_numpy() * 100).astype(np.int64)
-        codes, uniq_types = pd.factorize(df["event_type"])
+    def partial(batch: pa.Table) -> pa.Table:
+        ts = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        cents = np.floor(batch.column("value").to_numpy() * 100).astype(np.int64)
         r, wid = _hop_windows(ts)
-        key = wid * len(uniq_types) + codes[r]
-        uk, inv = np.unique(key, return_inverse=True)
-        n = np.bincount(inv, minlength=len(uk)).astype(np.int64)
-        s = np.bincount(inv, weights=cents[r].astype(np.float64),
-                        minlength=len(uk)).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "window_id": uk // len(uniq_types),
-                "event_type": np.asarray(uniq_types)[uk % len(uniq_types)],
-                "n_partial": n,
-                "c_partial": s,
-            }
-        )
+        return pa.table({
+            "window_id": wid,
+            "event_type": batch.column("event_type").take(r),
+            "cents": cents[r],
+        }).group_by(["window_id", "event_type"]).aggregate([("cents", "sum"), ([], "count_all")])
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    return parts.groupby(["window_id", "event_type"]).aggregate(
-        Sum("n_partial", alias_name="n_events"),
-        Sum("c_partial", alias_name="sum_cents"),
-    )
+    parts = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        partial, batch_format="pyarrow")
+    return merge_partials(parts, {"window_id": np.int64, "event_type": object}, {
+        "n_events": ("count_all", "sum"), "sum_cents": ("cents_sum", "sum")})
 
 
 SQL_EVENTS_SLIDING_WINDOW = f"""
@@ -2893,20 +2857,23 @@ def q_stratified_sample(sf_dir: str):
     """Per-language stratified sample: deterministic 10% quota per
     stratum, selected by content-hash order (fp64, doc_id) — the
     reproducible per-stratum curation op (language rebalancing) at
-    100 TB. Two passes: (1) tiny per-lang count aggregate broadcast to
-    the workers, (2) per-batch partial top-quota per stratum (bounded:
-    <= quota rows per lang per batch) then the same top-quota cut as
-    the final trim, through group_apply on lang; its input is bounded
-    by quota x n_blocks, never the corpus."""
+    100 TB. Two passes: (1) per-lang counts, one partial row per lang
+    per block (at most blocks × 5 langs) summed by ``merge_partials``
+    and broadcast to the workers as quotas, (2) per-batch partial
+    top-quota per stratum (bounded: <= quota rows per lang per batch)
+    then the same top-quota cut as the final trim, through group_apply
+    on lang; its input is bounded by quota x n_blocks, never the
+    corpus."""
     import math
 
     RATE = 0.1
+    counts = merge_partials(
+        _read(sf_dir, "documents", ["lang"]).map_batches(
+            lambda t: t.group_by("lang").aggregate([([], "count_all")]),
+            batch_format="pyarrow"),
+        {"lang": object}, {"n": ("count_all", "sum")})
+    quota = {lang: math.ceil(RATE * n) for lang, n in zip(counts["lang"], counts["n"])}
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    counts = ds.groupby("lang").count().to_pandas()
-    quota = {
-        r["lang"]: int(math.ceil(RATE * r["count()"]))
-        for _, r in counts.iterrows()
-    }
 
     def top_quota(d: pd.DataFrame) -> pd.DataFrame:
         # rank within each lang run of the (lang, fp, doc_id) order
@@ -3496,7 +3463,10 @@ def _tag_union(tag: str, members):
     row gets ``tag = value`` and the mapped columns, where a string
     names a member column and anything else is a per-row constant. One
     lazy ``Dataset.union`` — a block concat, no shuffle; members stream
-    independently."""
+    independently. Members that are driver frames (``merge_partials``
+    results) are retagged on the driver and concatenated into a frame,
+    which keeps the schema on zero rows where an empty Dataset loses
+    it."""
 
     def retag(value, cols):
         def fn(t: pa.Table) -> pa.Table:
@@ -3507,6 +3477,10 @@ def _tag_union(tag: str, members):
 
         return fn
 
+    if all(isinstance(ds, pd.DataFrame) for _, ds, _ in members):
+        return pa.concat_tables(
+            [retag(value, cols)(pa.Table.from_pandas(ds, preserve_index=False))
+             for value, ds, cols in members], promote_options="default").to_pandas()
     parts = [ds.map_batches(retag(value, cols), batch_format="pyarrow")
              for value, ds, cols in members]
     return parts[0].union(*parts[1:])
@@ -3820,7 +3794,7 @@ def q_source_profile(sf_dir: str):
     (distributed top-k-per-key) joined on source. Both members are
     bounded by source cardinality, so the join is a driver-side merge
     of two already-aggregated small results."""
-    stats = q_source_stats(sf_dir).to_pandas()
+    stats = q_source_stats(sf_dir)
     top = q_source_top_chars(sf_dir)
     out = top.merge(stats, on="source")
     return out[["source", "rank", "doc_id", "n_chars",

@@ -7,7 +7,8 @@ guard keeps one per-doc read + geolocate path (``_per_doc``); the
 top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
 polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
 read guard keeps one parquet read (``_read_path``); the per-key guard
-keeps one keyed group-apply (``dedup.group_apply``)."""
+keeps one keyed group-apply (``dedup.group_apply``); the bounded-key
+guard keeps Ray Data ``groupby`` to keys that grow with the corpus."""
 
 import ast
 import os
@@ -203,3 +204,31 @@ def test_one_group_apply():
                       for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                       for n in ast.walk(fn) if sort_then_block_map(n)]
     assert sites == [(os.path.join("functions", "dedup.py"), "group_apply")]
+
+
+def test_ray_groupby_only_on_growing_keys():
+    """A Ray Data ``groupby`` (one followed by a ``GroupedData`` method)
+    or a ``ray.data.aggregate`` import in ``queries.py`` sits only in a
+    query whose key grows with the corpus: word, (kind, source, term),
+    term, bigram, host. A bounded key merges on the driver through
+    ``merge_partials`` instead."""
+    grouped = {"aggregate", "count", "sum", "min", "max", "mean", "std", "map_groups"}
+
+    def ray_groupby(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in grouped and isinstance(node.func.value, ast.Call)
+                and getattr(node.func.value.func, "attr", None) == "groupby")
+
+    def aggregate_import(node):
+        return isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate"
+
+    with open(q.__file__) as f:
+        tree = ast.parse(f.read())
+    sites = sorted((fn.name, kind)
+                   for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   for n in ast.walk(fn)
+                   for kind, hit in (("groupby", ray_groupby), ("import", aggregate_import))
+                   if hit(n))
+    growing = ("q_bigram_stats", "q_domain_stats", "q_inverted_index", "q_tfidf_top",
+               "q_word_freq")
+    assert sites == [(name, kind) for name in growing for kind in ("groupby", "import")]

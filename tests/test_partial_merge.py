@@ -1,4 +1,4 @@
-"""Driver-merged partial aggregates: q_tile_stats, q_zonal_stats,
+"""Driver-merged partial aggregates: the ``merge_partials`` queries,
 q_events_sessions, q_tfidf_top and flagship.tile_stats against their
 DuckDB twins on tables this module writes itself — empty, and split
 across several parquet files so the merge sees partials from more than
@@ -15,8 +15,16 @@ import pytest
 
 from rayproj.pipelines import queries as q
 from rayproj.pipelines.flagship import run_flagship, tile_stats
+from rayproj.spatial.polygons import layer_index
+from rayproj.stages.geolocate import geolocate_ids
 
-MERGED = ("tile_stats", "zonal_stats", "events_sessions")
+# the driver-merged queries and the tables they read
+MERGED = {
+    "tile_stats": ("documents",), "zonal_stats": ("documents",),
+    "events_sessions": ("events",), "agg_lineitem": ("lineitem",),
+    "join_orders_customer": ("orders", "customer"), "distinct_brands": ("part",),
+    "events_windows": ("events",), "source_profile": ("documents",),
+}
 EVENT_TYPES = np.array(["signup", "purchase", "view", "click", "error"])
 DAY_US = 86_400 * 10**6
 
@@ -52,6 +60,13 @@ def _write(sf_dir, name: str, table: pa.Table, n_files: int) -> None:
         pq.write_table(table.take(part), out / f"part-{i:03d}.parquet")
 
 
+def _split(sf_dir, tmp_path, tables, n_files: int) -> None:
+    """Each of ``tables`` copied from ``sf_dir`` as n_files files."""
+    for table in tables:
+        _write(tmp_path, table, pq.read_table(f"{sf_dir}/{table}.parquet"), n_files)
+        assert _n_blocks(tmp_path, table) == n_files
+
+
 def _oracle(sf_dir, name: str) -> pd.DataFrame:
     con = duckdb.connect()
     for path in sf_dir.glob("*.parquet"):
@@ -78,9 +93,13 @@ def _n_blocks(sf_dir, table: str) -> int:
     return n
 
 
-def test_empty_tables_return_named_columns(tmp_path, ray_session):
-    _write(tmp_path, "documents", _documents(0, 0), 1)
-    _write(tmp_path, "events", _events(0, 1, 0), 1)
+def test_empty_tables_return_named_columns(tmp_path, ray_session, sf_dir):
+    """Every table empty but ``customer`` (a join of no orders): each
+    merged query returns the oracle's columns and dtypes, string keys
+    included, though no partial block reaches the driver."""
+    for table in {t for tables in MERGED.values() for t in tables}:
+        full = pq.read_table(f"{sf_dir}/{table}.parquet")
+        _write(tmp_path, table, full if table == "customer" else full.slice(0, 0), 1)
     for name in MERGED:
         got = q.QUERIES[name](str(tmp_path))
         want = _oracle(tmp_path, name)
@@ -103,30 +122,70 @@ def test_sessions_exact_across_overlapping_blocks(tmp_path, ray_session,
     _assert_same(q.q_events_sessions(str(tmp_path)), want)
 
 
-def test_partials_from_several_blocks_merge_exactly(tmp_path, ray_session):
+def test_partials_from_several_blocks_merge_exactly(tmp_path, ray_session, sf_dir):
+    """tile_stats and zonal_stats on 20,000 docs in 4 files; every other
+    merged query on its ``sf_dir`` tables, each as 4 files."""
     _write(tmp_path, "documents", _documents(20_000, 7), 4)
     assert _n_blocks(tmp_path, "documents") == 4
     for name in ("tile_stats", "zonal_stats"):
         _assert_same(q.QUERIES[name](str(tmp_path)), _oracle(tmp_path, name))
+    for name, tables in MERGED.items():
+        if name in ("tile_stats", "zonal_stats"):
+            continue
+        (tmp_path / name).mkdir()
+        _split(sf_dir, tmp_path / name, tables, 4)
+        want = _oracle(tmp_path / name, name)
+        assert len(want) > 0
+        _assert_same(q.QUERIES[name](str(tmp_path / name)), want)
 
 
-@pytest.mark.parametrize("name", [*MERGED, "flagship"])
-def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypatch):
+def test_partial_sums_exact_past_2_53(tmp_path, ray_session, sf_dir):
+    """Integer partials sum in int64: revenues of ~1e17 cents and
+    doc_ids from 2^53 lose their low digits in a float64 sum."""
+    li = pq.read_table(f"{sf_dir}/lineitem.parquet").slice(0, 3)
+    li = li.set_column(li.schema.get_field_index("l_extendedprice"), "l_extendedprice",
+                       pa.array([1e13 + k / 100 for k in (1, 2, 3)]))
+    li = li.set_column(li.schema.get_field_index("l_discount"), "l_discount",
+                       pa.array([0.0, 0.0, 0.0]))
+    for c in ("l_returnflag", "l_linestatus"):
+        li = li.set_column(li.schema.get_field_index(c), c, pa.array(["A"] * 3))
+    _write(tmp_path, "lineitem", li, 1)
+    want = _oracle(tmp_path, "agg_lineitem")
+    assert want["sum_revenue"].tolist() == [(3 * 10**15 + 6) * 100]
+    _assert_same(q.q_agg_lineitem(str(tmp_path)), want)
+
+    ids = np.arange(2**53, 2**53 + 500, dtype=np.int64)
+    _write(tmp_path, "documents", pa.table({"doc_id": ids}), 1)
+    pid = layer_index(q.N_POLYS).assign(*geolocate_ids(ids))
+    sums = {}
+    for p, i in zip(pid.tolist(), ids.tolist()):
+        sums[p] = sums.get(p, 0) + i
+    got = q.q_zonal_stats(str(tmp_path))
+    assert dict(zip(got["poly_id"].tolist(), got["sum_doc_id"].tolist())) == sums
+
+
+@pytest.mark.parametrize("name", [*MERGED, "flagship", "sampling"])
+def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypatch,
+                                          sf_dir):
+    """No sort, groupby or repartition runs; ``sampling`` only runs no
+    groupby, its per-lang trim sorts through group_apply."""
     import ray.data as rd
 
     def shuffle(self, *args, **kwargs):
         raise AssertionError("a Ray Data shuffle ran")
 
-    for op in ("groupby", "sort", "repartition", "random_shuffle"):
+    ops = ("groupby",) if name == "sampling" else (
+        "groupby", "sort", "repartition", "random_shuffle")
+    for op in ops:
         monkeypatch.setattr(rd.Dataset, op, shuffle)
-    _write(tmp_path, "documents", _documents(500, 3), 2)
-    _write(tmp_path, "events", _events(500, 2, 3), 2)
+    _split(sf_dir, tmp_path, MERGED.get(name, ("documents",)), 2)
     if name == "flagship":
         docs = rd.read_parquet(str(tmp_path / "documents.parquet"))
         out = tile_stats(run_flagship(docs, key_col="doc_id", lang_col="lang"))
-        assert out["n_docs"].sum() == 500
+        assert out["n_docs"].sum() == docs.count()
     else:
-        assert len(q.QUERIES[name](str(tmp_path))) > 0
+        res = q.QUERIES[name](str(tmp_path))
+        assert len(res.to_pandas() if hasattr(res, "to_pandas") else res) > 0
 
 
 def test_tfidf_top_on_sharded_documents(tmp_path, ray_session, sf_dir):
