@@ -186,7 +186,7 @@ class ExactPrunedKNN:
 class IVFIndex:
     """IVF-style bucketing: deterministic centroids (first C distinct
     vectors, normalized), nprobe-bucket search. Assignment runs per
-    batch (map_batches); the index is broadcast actor state."""
+    batch (map_batches); the index is broadcast read-only state."""
 
     def __init__(self, centroids: np.ndarray):
         self.centroids = _normalize(centroids.astype(np.float64))

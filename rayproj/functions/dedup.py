@@ -28,6 +28,8 @@ the full 64 bits. Deterministic given the seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -154,22 +156,15 @@ def batch_shingle_hashes(texts: pd.Series, shingle_size: int) -> tuple[np.ndarra
     return out, starts, counts
 
 
+@functools.cache
 def _hash_params(num_hashes: int, seed: int = 42):
-    """Multiply-add family over Z_2^64: odd multipliers, random offsets."""
+    """Multiply-add family over Z_2^64: odd multipliers, random offsets.
+    Cached per process, so every caller shares the (read-only) arrays."""
     rng = np.random.default_rng(seed)
     a = rng.integers(1, 1 << 63, size=num_hashes, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     b = rng.integers(0, 1 << 63, size=num_hashes, dtype=np.uint64)
+    a.flags.writeable = b.flags.writeable = False
     return a, b
-
-
-_PARAM_CACHE: dict = {}
-
-
-def _cached_params(num_hashes: int, seed: int = 42):
-    key = (num_hashes, seed)
-    if key not in _PARAM_CACHE:
-        _PARAM_CACHE[key] = _hash_params(num_hashes, seed)
-    return _PARAM_CACHE[key]
 
 
 def minhash_signature(text: str, num_hashes: int, a: np.ndarray, b: np.ndarray,
@@ -180,7 +175,8 @@ def minhash_signature(text: str, num_hashes: int, a: np.ndarray, b: np.ndarray,
 
 
 class MinHasher:
-    """Actor-pool stage state: hash parameters computed once per actor."""
+    """MinHash-LSH banding with the seeded hash parameters, which
+    ``_hash_params`` computes once per worker process."""
 
     def __init__(self, num_hashes: int = 64, bands: int = 16, shingle_size: int = 3,
                  seed: int = 42):
@@ -189,7 +185,7 @@ class MinHasher:
         self.bands = bands
         self.rows_per_band = num_hashes // bands
         self.shingle_size = shingle_size
-        self.a, self.b = _cached_params(num_hashes, seed)
+        self.a, self.b = _hash_params(num_hashes, seed)
 
     def signatures(self, texts: pd.Series) -> np.ndarray:
         """(N, H) uint64 signature matrix — one reduceat per hash fn."""
@@ -282,6 +278,18 @@ def group_apply(ds, key, fn):
     return ds.sort(key).map_batches(fn, batch_format="pandas", batch_size=None)
 
 
+def collect(ds, dtypes: dict) -> pd.DataFrame:
+    """The typed driver collect of a small stream: ``ds.to_pandas()``
+    cast to ``dtypes`` (column -> dtype). Ray Data does not call a
+    map's function on an empty block, so a zero-row stream reaches the
+    driver with no schema; the columns of ``dtypes`` then stand in for
+    it, and the frame keeps its names and dtypes."""
+    df = ds.to_pandas()
+    if df.columns.empty:
+        df = pd.DataFrame(columns=list(dtypes))
+    return df.astype(dtypes)
+
+
 def runs(*keys):
     """Runs of equal rows in the sorted key columns ``keys`` → (starts,
     seg): ``starts[i]`` is run i's first row, ``seg[r]`` row r's run."""
@@ -309,7 +317,8 @@ def simhash_neardup_pipeline(sketches, hamming_max: int = 3, bucket_cap: int = 2
 
     ``sketches``: Dataset of (``doc_id`` int64, ``simhash`` int64).
     Returns a Dataset of (``doc_a``, ``doc_b``, ``hamming``) with
-    doc_a < doc_b.
+    doc_a < doc_b; with no sketches, the empty int64 DataFrame of those
+    columns (a Dataset's ``to_pandas`` keeps no zero-row schema).
 
     Scale design (defuses the round-2 zero-sketch skew bomb):
 
@@ -340,7 +349,10 @@ def simhash_neardup_pipeline(sketches, hamming_max: int = 3, bucket_cap: int = 2
     classes = group_apply(sketches, "simhash", collapse).materialize()
 
     # --- stage 1: hamming-0 star pairs (rep, member) ---------------------
-    dup = classes.filter(expr="n > 1").select_columns(["simhash", "rep"]).to_pandas()
+    if classes.count() == 0:
+        return pd.DataFrame({c: [] for c in ("doc_a", "doc_b", "hamming")}, dtype=np.int64)
+    dup = collect(classes.filter(expr="n > 1").select_columns(["simhash", "rep"]),
+                  {"simhash": np.int64, "rep": np.int64})
     dup_sk = dup["simhash"].to_numpy(np.int64)
     order = np.argsort(dup_sk, kind="mergesort")
     dup_sk_sorted = dup_sk[order]

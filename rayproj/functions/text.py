@@ -2,7 +2,7 @@
 
 Vectorized via pandas string kernels where possible; the per-row parts
 (hashing) use C-speed library calls (zlib.crc32 / hashlib) inside a
-tight loop — ~1 M rows/s/core, amortized across the actor pool.
+tight loop — ~1 M rows/s/core.
 """
 
 from __future__ import annotations

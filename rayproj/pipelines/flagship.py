@@ -21,6 +21,7 @@ import pyarrow as pa
 from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
 from ..core.factory import create_operation
 from ..core.op import FWD, Coords
+from ..functions.dedup import collect
 from ..spatial.cells import cell_id
 from ..spatial.polygons import layer_index
 from ..spatial.tiles import tile_id
@@ -120,15 +121,11 @@ def merge_partials(partials_ds, by: dict, aggs: dict) -> pd.DataFrame:
     named-aggregation map ``{out: (partial_col, "sum" | "min")}`` over
     int64 partials. The partial stream is small by construction (at
     most blocks × distinct keys rows), so it is collected with
-    ``to_pandas`` and combined by one pandas ``groupby`` instead of a
-    Ray Data sort shuffle. Returns ``[*by, *aggs]`` sorted by the keys,
-    also on zero rows: Ray Data does not call a map's function on an
-    empty block, so no partial schema reaches the driver then, and the
-    dtypes in ``by`` stand in for it."""
-    df = partials_ds.to_pandas()
-    if df.columns.empty:
-        df = pd.DataFrame(columns=[*by, *(c for c, _ in aggs.values())], dtype=np.int64)
-    return df.astype(by).groupby(list(by), as_index=False).agg(**aggs)
+    ``collect`` and combined by one pandas ``groupby`` instead of a Ray
+    Data sort shuffle. Returns ``[*by, *aggs]`` sorted by the keys,
+    also on zero rows."""
+    df = collect(partials_ds, {**by, **{c: np.int64 for c, _ in aggs.values()}})
+    return df.groupby(list(by), as_index=False).agg(**aggs)
 
 
 def tile_stats(ds) -> pd.DataFrame:

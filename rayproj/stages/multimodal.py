@@ -1,29 +1,30 @@
 """Multimodal (image/audio/video) stages.
 
-Binary payloads are opaque ``binary`` columns with typed metadata.
-This container has no image/audio codec libraries, so the stages do
-the decode work that pure Python + NumPy CAN do for real:
+Each stage is a plain ``pa.Table -> pa.Table`` function over a binary
+``payload`` column, run as a stateless Ray Data task map
+(``map_batches(fn, batch_format="pyarrow")``) that fuses with the read
+and the maps around it. No image/audio codec library is a dependency,
+so the stages do the decode work that pure Python + NumPy can do:
 
 * images — format sniff + dimensions parsed from the actual bytes
   (PNG IHDR, GIF logical screen, BMP info header, JPEG SOFn marker
-  walk) plus a 16-bin byte-histogram feature vector computed with one
-  vectorized ``bincount`` over the whole batch;
+  walk);
+* PNG pixels — IDAT inflate + scanline unfilter;
 * audio — WAV/RIFF fmt-chunk parse (channels, sample rate, sample
   count);
 * video — minimal MP4 box walk to the ``stsz`` sample table for the
   real frame count.
 
-Pixel-level decode of *compressed* streams is the only stubbed part:
-formats the parsers don't recognize fall back to a deterministic
+Formats the parsers don't recognize fall back to a deterministic
 content-hash fake (flagged in the output), so pipelines stay total.
-Blob access is via Arrow binary buffers + offsets — no per-row Python
-materialization in the batch-level paths.
+Blob access is via Arrow binary buffers + offsets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -146,101 +147,56 @@ def parse_image_dims(data: np.ndarray, off: np.ndarray):
     return h, w, c, fmt
 
 
-class ImageDecodeStage:
-    """Actor-pool stage: binary image column → (height, width, channels,
-    format) parsed from the real bytes + a 16-bin byte-histogram feature
-    vector (one vectorized bincount for the whole batch).
-
-    Pass the CLASS to map_batches with small batch_size (large payloads:
-    batch_size × concurrency must fit worker heap — see SURVEY.md §4).
-    Unrecognized formats get dims from a deterministic content-hash fake
-    and img_format=0 so downstream can filter.
-    """
-
-    FORMATS = ("unknown", "png", "gif", "bmp", "jpeg")
-
-    def __init__(self, bin_col: str = "payload", feature_dim: int = 16,
-                 fake: bool | None = None):
-        self.bin_col = bin_col
-        self.feature_dim = feature_dim
-        # `fake` retained for API compat; parsing is always real now
-        self.fake = bool(fake)
-
-    def _fallback_dims(self, data, off, idx, h, w, c):
-        for i in idx:
-            blob = data[off[i]: off[i + 1]].tobytes()
-            d = hashlib.md5(blob).digest()
-            h[i] = 16 + d[0]
-            w[i] = 16 + d[1]
-            c[i] = 3
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, off = _binary_buffers(batch.column(self.bin_col))
-        n = batch.num_rows
-        h, w, c, fmt = parse_image_dims(data, off)
-        unknown = np.nonzero(fmt == 0)[0]
-        if len(unknown):
-            self._fallback_dims(data, off, unknown, h, w, c)
-        # byte-histogram features: one bincount over all payload bytes
-        lens = np.diff(off)
-        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-        bins = (data[off[0]: off[-1]] >> 4).astype(np.int64)
-        hist = np.bincount(rows * 16 + bins, minlength=n * 16).astype(np.float64)
-        feats = hist.reshape(n, 16)
-        tot = np.maximum(lens, 1).astype(np.float64)
-        feats /= tot[:, None]
-        if self.feature_dim != 16:
-            reps = -(-self.feature_dim // 16)
-            feats = np.tile(feats, (1, reps))[:, : self.feature_dim]
-        out = batch.append_column("img_h", pa.array(h.astype(np.int32)))
-        out = out.append_column("img_w", pa.array(w.astype(np.int32)))
-        out = out.append_column("img_c", pa.array(c.astype(np.int32)))
-        out = out.append_column("img_format", pa.array(fmt.astype(np.int32)))
-        out = out.append_column(
-            "features", pa.FixedSizeListArray.from_arrays(
-                pa.array(np.ascontiguousarray(feats).reshape(-1)), self.feature_dim
-            )
-        )
-        return out
+def _append(batch: pa.Table, cols: dict) -> pa.Table:
+    for name, values in cols.items():
+        batch = batch.append_column(name, pa.array(values))
+    return batch
 
 
-class AudioMetaStage:
-    """Actor-pool stage: binary audio column → (channels, sample_rate,
-    n_samples) from the real RIFF/WAVE fmt+data chunks; non-WAV blobs
-    get −1s."""
+def image_decode(batch: pa.Table) -> pa.Table:
+    """Binary ``payload`` column → (img_h, img_w, img_c, img_format)
+    parsed from the real bytes. Unrecognized formats get dims from a
+    deterministic content-hash fake and img_format=0 so downstream can
+    filter."""
+    data, off = _binary_buffers(batch.column("payload"))
+    h, w, c, fmt = parse_image_dims(data, off)
+    for i in np.nonzero(fmt == 0)[0]:
+        d = hashlib.md5(data[off[i]: off[i + 1]].tobytes()).digest()
+        h[i], w[i], c[i] = 16 + d[0], 16 + d[1], 3
+    return _append(batch, {"img_h": h.astype(np.int32), "img_w": w.astype(np.int32),
+                           "img_c": c.astype(np.int32), "img_format": fmt.astype(np.int32)})
 
-    def __init__(self, bin_col: str = "payload"):
-        self.bin_col = bin_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, off = _binary_buffers(batch.column(self.bin_col))
-        n = batch.num_rows
-        ch = np.full(n, -1, dtype=np.int32)
-        rate = np.full(n, -1, dtype=np.int32)
-        nsamp = np.full(n, -1, dtype=np.int64)
-        starts, lens = off[:-1], np.diff(off)
-        wav = _sig_match(data, starts, lens, b"RIFF") & _sig_match(
-            data, starts, lens, b"WAVE", at=8
-        )
-        for i in np.nonzero(wav)[0]:
-            s, e = int(starts[i]), int(off[i + 1])
-            pos = s + 12
-            bits = 16
-            while pos + 8 <= e:
-                cid = data[pos: pos + 4].tobytes()
-                clen = int(_le32(data, np.array([pos + 4]))[0])
-                body = pos + 8
-                if cid == b"fmt " and body + 16 <= e:
-                    ch[i] = int(_le16(data, np.array([body + 2]))[0])
-                    rate[i] = int(_le32(data, np.array([body + 4]))[0])
-                    bits = int(_le16(data, np.array([body + 14]))[0])
-                elif cid == b"data" and ch[i] > 0 and bits > 0:
-                    nsamp[i] = clen // (ch[i] * max(bits // 8, 1))
-                pos = body + clen + (clen & 1)
-        out = batch.append_column("audio_channels", pa.array(ch))
-        out = out.append_column("audio_rate", pa.array(rate))
-        out = out.append_column("audio_samples", pa.array(nsamp))
-        return out
+def audio_meta(batch: pa.Table) -> pa.Table:
+    """Binary ``payload`` column → (audio_channels, audio_rate,
+    audio_samples) from the real RIFF/WAVE fmt+data chunks; non-WAV
+    blobs get −1s."""
+    data, off = _binary_buffers(batch.column("payload"))
+    n = batch.num_rows
+    ch = np.full(n, -1, dtype=np.int32)
+    rate = np.full(n, -1, dtype=np.int32)
+    nsamp = np.full(n, -1, dtype=np.int64)
+    starts, lens = off[:-1], np.diff(off)
+    wav = _sig_match(data, starts, lens, b"RIFF") & _sig_match(
+        data, starts, lens, b"WAVE", at=8
+    )
+    for i in np.nonzero(wav)[0]:
+        s, e = int(starts[i]), int(off[i + 1])
+        pos = s + 12
+        bits = 16
+        while pos + 8 <= e:
+            cid = data[pos: pos + 4].tobytes()
+            clen = int(_le32(data, np.array([pos + 4]))[0])
+            body = pos + 8
+            if cid == b"fmt " and body + 16 <= e:
+                ch[i] = int(_le16(data, np.array([body + 2]))[0])
+                rate[i] = int(_le32(data, np.array([body + 4]))[0])
+                bits = int(_le16(data, np.array([body + 14]))[0])
+            elif cid == b"data" and ch[i] > 0 and bits > 0:
+                nsamp[i] = clen // (ch[i] * max(bits // 8, 1))
+            pos = body + clen + (clen & 1)
+    return _append(batch, {"audio_channels": ch, "audio_rate": rate,
+                           "audio_samples": nsamp})
 
 
 def _mp4_frame_count(data: np.ndarray, s: int, e: int) -> int:
@@ -266,130 +222,113 @@ def _mp4_frame_count(data: np.ndarray, s: int, e: int) -> int:
     return walk(s, e, 0)
 
 
-class FrameSampleStage:
-    """Video frame sampling: binary video column → every-nth-frame
-    (url, frame_idx) rows. MP4 payloads get the REAL frame count from
-    the stsz sample table; other containers fall back to a
+EVERY_N_FRAMES = 30
+
+
+def frame_sample(batch: pa.Table) -> pa.Table:
+    """Video frame sampling: binary ``payload`` column → every-30th-frame
+    (doc_id, frame_idx) rows. MP4 payloads get the REAL frame count
+    from the stsz sample table; other containers fall back to a
     deterministic content-hash count. Row explosion is vectorized
     (repeat + concatenated aranges, no per-row appends)."""
-
-    def __init__(self, bin_col: str = "payload", key_col: str = "url",
-                 every_n: int = 30, fake: bool | None = None):
-        self.bin_col = bin_col
-        self.key_col = key_col
-        self.every_n = every_n
-        self.fake = bool(fake)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, off = _binary_buffers(batch.column(self.bin_col))
-        n = batch.num_rows
-        counts = np.empty(n, dtype=np.int64)
-        starts, lens = off[:-1], np.diff(off)
-        is_mp4 = _sig_match(data, starts, lens, b"ftyp", at=4)
-        for i in range(n):
-            s, e = int(off[i]), int(off[i + 1])
-            fc = _mp4_frame_count(data, s, e) if is_mp4[i] else -1
-            if fc < 0:
-                fc = 1 + int(hashlib.md5(data[s:e].tobytes()).digest()[0])
-            counts[i] = fc
-        n_frames = -(-counts // self.every_n)  # ceil(counts / every_n)
-        keys = batch.column(self.key_col)
-        rep_keys = keys.take(pa.array(np.repeat(np.arange(n), n_frames)))
-        tot = int(n_frames.sum())
-        frame_off = np.zeros(n, dtype=np.int64)
-        np.cumsum(n_frames[:-1], out=frame_off[1:])
-        within = np.arange(tot, dtype=np.int64) - np.repeat(frame_off, n_frames)
-        frames = within * self.every_n
-        return pa.table({
-            self.key_col: rep_keys,
-            "frame_idx": pa.array(frames.astype(np.int32)),
-        })
+    data, off = _binary_buffers(batch.column("payload"))
+    n = batch.num_rows
+    counts = np.empty(n, dtype=np.int64)
+    starts, lens = off[:-1], np.diff(off)
+    is_mp4 = _sig_match(data, starts, lens, b"ftyp", at=4)
+    for i in range(n):
+        s, e = int(off[i]), int(off[i + 1])
+        fc = _mp4_frame_count(data, s, e) if is_mp4[i] else -1
+        if fc < 0:
+            fc = 1 + int(hashlib.md5(data[s:e].tobytes()).digest()[0])
+        counts[i] = fc
+    n_frames = -(-counts // EVERY_N_FRAMES)  # ceil
+    keys = batch.column("doc_id")
+    rep_keys = keys.take(pa.array(np.repeat(np.arange(n), n_frames)))
+    tot = int(n_frames.sum())
+    frame_off = np.zeros(n, dtype=np.int64)
+    np.cumsum(n_frames[:-1], out=frame_off[1:])
+    within = np.arange(tot, dtype=np.int64) - np.repeat(frame_off, n_frames)
+    frames = within * EVERY_N_FRAMES
+    return pa.table({
+        "doc_id": rep_keys,
+        "frame_idx": pa.array(frames.astype(np.int32)),
+    })
 
 
-class PngPixelStage:
-    """Actor-pool stage: REAL PNG pixel decode (round-4 verdict task 6
-    — stdlib zlib IS available, so IDAT is no longer stubbed): per blob,
-    walk the chunk stream, CRC-check and concatenate IDAT, zlib-inflate,
-    then unfilter scanlines (filters 0 None / 1 Sub / 2 Up — the subset
-    a deterministic encoder needs; others raise) with NumPy line ops.
-    Emits px_h, px_w (from IHDR) and px_sum (int64 sum of all decoded
-    samples). Non-PNG or truncated blobs get −1s.
+_PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # IHDR colortype -> samples/pixel
 
-    Scale shape: the zlib inflate is a per-row C call (unavoidable —
-    DEFLATE streams are sequential), everything around it (chunk walk,
-    unfiltering, summation) is NumPy; this is the real-image-decode
-    actor-pool pattern with small batch_size × concurrency sized to the
-    worker heap."""
 
-    _CH = {0: 1, 2: 3, 4: 2, 6: 4}  # IHDR colortype -> samples/pixel
+def _decode_png(blob: bytes):
+    """(h, w, sum of all decoded samples) of one PNG, or −1s."""
+    if len(blob) < 45 or blob[:8] != b"\x89PNG\r\n\x1a\n":
+        return -1, -1, -1
+    w = int.from_bytes(blob[16:20], "big")
+    h = int.from_bytes(blob[20:24], "big")
+    bitdepth = blob[24]
+    ctype = blob[25]
+    if bitdepth != 8 or ctype not in _PNG_CHANNELS or not (0 < w and 0 < h):
+        return -1, -1, -1
+    ch = _PNG_CHANNELS[ctype]
+    idat = bytearray()
+    pos = 8
+    while pos + 8 <= len(blob):
+        ln = int.from_bytes(blob[pos:pos + 4], "big")
+        tag = blob[pos + 4:pos + 8]
+        body = blob[pos + 8:pos + 8 + ln]
+        if tag == b"IDAT":
+            if zlib.crc32(tag + body) != int.from_bytes(
+                    blob[pos + 8 + ln:pos + 12 + ln], "big"):
+                return -1, -1, -1
+            idat += body
+        elif tag == b"IEND":
+            break
+        pos += 12 + ln
+    if not idat:
+        return -1, -1, -1
+    try:
+        raw = np.frombuffer(zlib.decompress(bytes(idat)), np.uint8)
+    except zlib.error:
+        return -1, -1, -1
+    stride = w * ch
+    if len(raw) != h * (stride + 1):
+        return -1, -1, -1
+    lines = raw.reshape(h, stride + 1)
+    filt = lines[:, 0]
+    px = lines[:, 1:].astype(np.int64)
+    # unfilter: Sub is a per-line cumsum over pixel strides; Up is a
+    # cumulative pass down the rows (vectorized per filter run)
+    if (filt > 2).any():
+        return -1, -1, -1
+    sub_rows = np.nonzero(filt == 1)[0]
+    if len(sub_rows):
+        v = px[sub_rows].reshape(len(sub_rows), w, ch)
+        px[sub_rows] = (v.cumsum(axis=1) % 256).reshape(len(sub_rows), stride)
+    for r in np.nonzero(filt == 2)[0]:
+        if r:
+            px[r] = (px[r] + px[r - 1]) % 256
+    return h, w, int(px.sum())
 
-    def __init__(self, bin_col: str = "payload"):
-        self.bin_col = bin_col
 
-    def _decode_one(self, blob: bytes):
-        import zlib
+def png_pixels(batch: pa.Table) -> pa.Table:
+    """REAL PNG pixel decode of the binary ``payload`` column: per blob,
+    walk the chunk stream, CRC-check and concatenate IDAT,
+    zlib-inflate, then unfilter scanlines (filters 0 None / 1 Sub / 2
+    Up — the subset a deterministic encoder needs; others raise) with
+    NumPy line ops. Emits px_h, px_w (from IHDR) and px_sum (int64 sum
+    of all decoded samples). Non-PNG or truncated blobs get −1s.
 
-        if len(blob) < 45 or blob[:8] != b"\x89PNG\r\n\x1a\n":
-            return -1, -1, -1
-        w = int.from_bytes(blob[16:20], "big")
-        h = int.from_bytes(blob[20:24], "big")
-        bitdepth = blob[24]
-        ctype = blob[25]
-        if bitdepth != 8 or ctype not in self._CH or not (0 < w and 0 < h):
-            return -1, -1, -1
-        ch = self._CH[ctype]
-        idat = bytearray()
-        pos = 8
-        while pos + 8 <= len(blob):
-            ln = int.from_bytes(blob[pos:pos + 4], "big")
-            tag = blob[pos + 4:pos + 8]
-            body = blob[pos + 8:pos + 8 + ln]
-            if tag == b"IDAT":
-                if zlib.crc32(tag + body) != int.from_bytes(
-                        blob[pos + 8 + ln:pos + 12 + ln], "big"):
-                    return -1, -1, -1
-                idat += body
-            elif tag == b"IEND":
-                break
-            pos += 12 + ln
-        if not idat:
-            return -1, -1, -1
-        try:
-            raw = np.frombuffer(zlib.decompress(bytes(idat)), np.uint8)
-        except zlib.error:
-            return -1, -1, -1
-        stride = w * ch
-        if len(raw) != h * (stride + 1):
-            return -1, -1, -1
-        lines = raw.reshape(h, stride + 1)
-        filt = lines[:, 0]
-        px = lines[:, 1:].astype(np.int64)
-        # unfilter: Sub is a per-line cumsum over pixel strides; Up is a
-        # cumulative pass down the rows (vectorized per filter run)
-        if (filt > 2).any():
-            return -1, -1, -1
-        sub_rows = np.nonzero(filt == 1)[0]
-        if len(sub_rows):
-            v = px[sub_rows].reshape(len(sub_rows), w, ch)
-            px[sub_rows] = (v.cumsum(axis=1) % 256).reshape(len(sub_rows), stride)
-        for r in np.nonzero(filt == 2)[0]:
-            if r:
-                px[r] = (px[r] + px[r - 1]) % 256
-        return h, w, int(px.sum())
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data, off = _binary_buffers(batch.column(self.bin_col))
-        n = batch.num_rows
-        ph = np.full(n, -1, np.int32)
-        pw = np.full(n, -1, np.int32)
-        ps = np.full(n, -1, np.int64)
-        for i in range(n):
-            ph[i], pw[i], ps[i] = self._decode_one(
-                data[off[i]:off[i + 1]].tobytes())
-        out = batch.append_column("px_h", pa.array(ph))
-        out = out.append_column("px_w", pa.array(pw))
-        out = out.append_column("px_sum", pa.array(ps))
-        return out
+    The zlib inflate is a per-row C call (DEFLATE streams are
+    sequential); everything around it (chunk walk, unfiltering,
+    summation) is NumPy."""
+    data, off = _binary_buffers(batch.column("payload"))
+    n = batch.num_rows
+    ph = np.full(n, -1, np.int32)
+    pw = np.full(n, -1, np.int32)
+    ps = np.full(n, -1, np.int64)
+    for i in range(n):
+        ph[i], pw[i], ps[i] = _decode_png(data[off[i]:off[i + 1]].tobytes())
+    return _append(batch, {"px_h": ph, "px_w": pw, "px_sum": ps})
 
 
 def make_png(width: int, height: int, pixels: np.ndarray,
@@ -397,10 +336,7 @@ def make_png(width: int, height: int, pixels: np.ndarray,
     """Deterministic PNG encoder for fixtures/tests: 8-bit, colortype
     0/2/6, per-line filter bytes (default all 0). Valid CRCs, single
     IDAT."""
-    import struct
-    import zlib
-
-    ch = PngPixelStage._CH[colortype]
+    ch = _PNG_CHANNELS[colortype]
     px = np.asarray(pixels, np.uint8).reshape(height, width * ch)
     filt = (np.zeros(height, np.uint8) if filters is None
             else np.asarray(filters, np.uint8))

@@ -7,7 +7,8 @@ guard keeps one per-doc read + geolocate path (``_per_doc``); the
 top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
 polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
 read guard keeps one parquet read (``_read_path``); the per-key guard
-keeps one keyed group-apply (``dedup.group_apply``); the bounded-key
+keeps one keyed group-apply (``dedup.group_apply``); the actor-pool
+guard keeps every Ray Data map a stateless task; the bounded-key
 guard keeps Ray Data ``groupby`` to keys that grow with the corpus."""
 
 import ast
@@ -204,6 +205,34 @@ def test_one_group_apply():
                       for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                       for n in ast.walk(fn) if sort_then_block_map(n)]
     assert sites == [(os.path.join("functions", "dedup.py"), "group_apply")]
+
+
+def test_no_actor_pools():
+    """``rayproj/`` runs every Ray Data map as a stateless task: no
+    ``concurrency=``, ``fn_constructor_kwargs=`` or ``compute=`` keyword
+    and no class passed to ``map_batches``. State a worker reuses is a
+    ``functools.cache``, as in ``flagship.cached_stage``."""
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    found = []
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                tree = ast.parse(f.read())
+            classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+            for n in ast.walk(tree):
+                if not isinstance(n, ast.Call):
+                    continue
+                found += [(path, k.arg) for k in n.keywords
+                          if k.arg in ("concurrency", "fn_constructor_kwargs", "compute")]
+                if getattr(n.func, "attr", None) == "map_batches" and n.args:
+                    fn = n.args[0]
+                    fn_name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                    if fn_name in classes or (fn_name or "")[:1].isupper():
+                        found.append((path, fn_name))
+    assert found == []
 
 
 def test_ray_groupby_only_on_growing_keys():

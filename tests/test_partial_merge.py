@@ -25,6 +25,9 @@ MERGED = {
     "join_orders_customer": ("orders", "customer"), "distinct_brands": ("part",),
     "events_windows": ("events",), "source_profile": ("documents",),
 }
+# queries that collect a stream on the driver before their last step
+COLLECTED = ("ann_topk", "simhash_neardup", "kmeans_embed", "knn_anchors",
+             "decontaminate", "tfidf_top", "inverted_index", "join_orders_customer")
 EVENT_TYPES = np.array(["signup", "purchase", "view", "click", "error"])
 DAY_US = 86_400 * 10**6
 
@@ -96,7 +99,8 @@ def _n_blocks(sf_dir, table: str) -> int:
 def test_empty_tables_return_named_columns(tmp_path, ray_session, sf_dir):
     """Every table empty but ``customer`` (a join of no orders): each
     merged query returns the oracle's columns and dtypes, string keys
-    included, though no partial block reaches the driver."""
+    included, though no partial block reaches the driver. With every
+    table empty, each of COLLECTED does too."""
     for table in {t for tables in MERGED.values() for t in tables}:
         full = pq.read_table(f"{sf_dir}/{table}.parquet")
         _write(tmp_path, table, full if table == "customer" else full.slice(0, 0), 1)
@@ -110,6 +114,16 @@ def test_empty_tables_return_named_columns(tmp_path, ray_session, sf_dir):
     docs = rd.read_parquet(str(tmp_path / "documents.parquet"))
     out = tile_stats(run_flagship(docs, key_col="doc_id", lang_col="lang"))
     assert list(out.columns) == ["tile", "n_docs"] and len(out) == 0
+
+    (tmp_path / "all").mkdir()
+    for table in ("documents", "embeddings", "orders", "customer"):
+        _write(tmp_path / "all", table,
+               pq.read_table(f"{sf_dir}/{table}.parquet").slice(0, 0), 1)
+    for name in COLLECTED:
+        got = q.QUERIES[name](str(tmp_path / "all"))
+        want = _oracle(tmp_path / "all", name)
+        assert len(want) == 0
+        _assert_same(got.to_pandas() if isinstance(got, rd.Dataset) else got, want)
 
 
 @pytest.mark.parametrize("n_events,n_files", [(3_000, 5), (20_000, 7)])

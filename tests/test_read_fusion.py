@@ -2,6 +2,7 @@
 kernel map: every query of perfbench's ``query_mix`` runs exactly one
 Ray Data execution whose plan is a single ``ReadParquet->MapBatches``
 operator, and a directory of files reads with one fused task per file.
+The multimodal queries chain their stage maps into that one operator.
 Left to its default, Ray Data splits the read of a table with fewer
 files than twice the CPUs (``ReadParquet->SplitBlocks(k)``), and a
 split read never fuses."""
@@ -60,6 +61,33 @@ def test_query_runs_one_fused_read_map(name, ray_session, sf_dir, monkeypatch):
         assert " 1 tasks executed" in ops[0], ops
     assert len(plans) == 1, plans
     assert len(plans[0]) == 2 and FUSED.fullmatch(plans[0][1]), plans
+
+
+@pytest.mark.parametrize("name", ["multimodal_doc", "multimodal_video"])
+def test_multimodal_stages_fuse_with_the_read(name, ray_session, sf_dir, tmp_path,
+                                              monkeypatch):
+    """The multimodal stages are task maps: the whole chain runs as one
+    execution of one ``ReadParquet->...`` operator, one task per input
+    file, and no actor-pool operator is planned. An actor-pool stage
+    would be an operator of its own, or take the fused read into one."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator import (
+        ActorPoolMapOperator)
+
+    def actor_pool(*args, **kwargs):
+        raise AssertionError("an actor-pool operator was planned")
+
+    monkeypatch.setattr(ActorPoolMapOperator, "__init__", actor_pool)
+    docs = pq.read_table(f"{sf_dir}/documents.parquet")
+    (tmp_path / "documents.parquet").mkdir()
+    for i, rows in enumerate(np.array_split(np.arange(docs.num_rows), 3)):
+        pq.write_table(docs.take(rows), tmp_path / "documents.parquet" / f"part-{i}.parquet")
+    plans = _record_plans(monkeypatch)
+    result = q.QUERIES[name](str(tmp_path))
+    result.to_pandas()
+    ops = _operators(result)
+    assert len(ops) == 1 and ops[0].startswith("Operator 1 ReadParquet->"), ops
+    assert " 3 tasks executed" in ops[0], ops
+    assert len(plans) == 1 and len(plans[0]) == 2, plans
 
 
 @pytest.mark.parametrize("n_files", [2, 6])
