@@ -322,8 +322,9 @@ def simhash_neardup_pipeline(sketches, hamming_max: int = 3, bucket_cap: int = 2
 
     Scale design (defuses the round-2 zero-sketch skew bomb):
 
-    1. The hamming-0 equivalence classes are collapsed FIRST by a
-       vectorized ``groupby(simhash).aggregate(Min, Count)`` — a corpus
+    1. The hamming-0 equivalence classes are collapsed FIRST by
+       ``group_apply`` on the simhash, one pandas ``groupby`` per block
+       taking each class's min doc_id and size — a corpus
        with 10^6 identical/empty documents (they all sketch to the
        same value, empty -> 0) becomes ONE class row. Class members
        are emitted as a linear star (rep, member, 0), never as the
@@ -441,7 +442,8 @@ def connected_components_ds(edges, max_rounds: int = 50):
     "Connected Components in MapReduce and Beyond", SoCC'14): each
     round is one ``group_apply`` on the node over the edge set, edges
     contract toward star graphs in O(log n) rounds, and convergence is
-    detected with a per-round edge-hash sum. Each round materializes
+    detected with a per-round edge-hash sum: one partial per block,
+    collected and summed on the driver. Each round materializes
     the (shrinking) edge set — the unavoidable shape of an iterative
     fixed point.
     """
@@ -490,7 +492,7 @@ def connected_components_ds(edges, max_rounds: int = 50):
             v = (df["u"].to_numpy(np.int64) * 1000003 + df["v"].to_numpy(np.int64))
             return pd.DataFrame({"h": [int((v * v).sum())]})
 
-        return int(ds.map_batches(h, batch_format="pandas").sum("h") or 0)
+        return int(collect(ds.map_batches(h, batch_format="pandas"), {"h": np.int64})["h"].sum())
 
     def rename(df: pd.DataFrame) -> pd.DataFrame:
         return df.rename(columns={"a": "u", "b": "v"})

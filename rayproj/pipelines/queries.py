@@ -852,9 +852,11 @@ def q_join_orders_customer(sf_dir: str):
     """Broadcast hash join: the small customer side is put in the
     object store ONCE as sorted key/segment arrays and looked up with
     np.searchsorted inside each batch — no Python dict, no per-row
-    .map. Each block reduces to int64 (segment → count/cents) partials,
-    at most blocks × (segments + UNKNOWN) rows (5 + 1 in TPC-H), which
-    ``merge_partials`` sums on the driver."""
+    .map. An order whose key is past the last customer key or differs
+    from the key found has no customer and drops out (an inner join).
+    Each block reduces to int64 (segment → count/cents) partials, at
+    most blocks × segments rows (5 in TPC-H), which ``merge_partials``
+    sums on the driver."""
     import ray
 
     cust = collect(_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
@@ -870,18 +872,16 @@ def q_join_orders_customer(sf_dir: str):
         skeys, scodes, snames = _ray.get(side)
         ck = batch["o_custkey"].to_numpy(np.int64)
         pos = np.searchsorted(skeys, ck)
-        pos = np.clip(pos, 0, len(skeys) - 1)
-        hit = skeys[pos] == ck
-        cents = np.round(batch["o_totalprice"].to_numpy() * 100).astype(np.int64)
-        # partial aggregate per segment code (+1 slot for misses)
-        code = np.where(hit, scodes[pos], len(snames))
-        n = np.bincount(code, minlength=len(snames) + 1)
-        tot = np.zeros(len(snames) + 1, dtype=np.int64)
+        hit = pos < len(skeys)
+        hit[hit] = skeys[pos[hit]] == ck[hit]
+        code = scodes[pos[hit]]
+        cents = np.round(batch["o_totalprice"].to_numpy()[hit] * 100).astype(np.int64)
+        n = np.bincount(code, minlength=len(snames))
+        tot = np.zeros(len(snames), dtype=np.int64)
         np.add.at(tot, code, cents)
-        names = np.append(snames, "UNKNOWN")
         keep = n > 0
         return pd.DataFrame(
-            {"c_mktsegment": names[keep], "n_part": n[keep], "cents_part": tot[keep]}
+            {"c_mktsegment": snames[keep], "n_part": n[keep], "cents_part": tot[keep]}
         )
 
     partials = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
@@ -998,23 +998,20 @@ FROM per GROUP BY 1 ORDER BY 1
 
 
 def q_top_orders(sf_dir: str):
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
+    """The 10 dearest orders by (price_cents desc, o_orderkey asc): each
+    block keeps its own top 10 and the driver takes the top 10 of the
+    at most blocks × 10 collected rows, exact since the order is total."""
 
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "price_cents": pa.array(
-                    np.round(batch.column("o_totalprice").to_numpy() * 100).astype(np.int64)
-                ),
-            }
-        )
+    def top(batch: pa.Table) -> pd.DataFrame:
+        cents = np.round(batch.column("o_totalprice").to_numpy() * 100).astype(np.int64)
+        df = pd.DataFrame({"o_orderkey": batch.column("o_orderkey").to_numpy(),
+                           "price_cents": cents})
+        return _top(df, 10, "price_cents", "o_orderkey")
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort(["price_cents", "o_orderkey"], descending=[True, False])
-        .limit(10)
-    )
+    parts = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]).map_batches(
+        top, batch_format="pyarrow")
+    return _top(collect(parts, {"o_orderkey": np.int64, "price_cents": np.int64}),
+                10, "price_cents", "o_orderkey")
 
 
 SQL_TOP_ORDERS = """
@@ -1429,7 +1426,7 @@ def q_minhash_lsh(sf_dir: str):
 
 def q_simhash_neardup(sf_dir: str):
     """SimHash near-dup pipeline (skew-safe): sketches collapse into
-    hamming-0 classes first (vectorized groupby aggregate), then only
+    hamming-0 classes first (group_apply on the sketch), then only
     class representatives band into four 16-bit keys with a
     deterministic per-bucket cap — see
     functions/dedup.simhash_neardup_pipeline for the 100-TB design.
@@ -2497,39 +2494,28 @@ ORDER BY url
 def q_domain_stats(sf_dir: str):
     """Per-domain corpus stats over the pages fixture: vectorized URL
     host extraction (pc.extract_regex — no per-row Python) fused with a
-    per-batch partial aggregate, then a small groupby combine. The
-    shuffle carries one row per (batch, host), never page rows."""
-    from ray.data.aggregate import Sum
+    per-batch (host → pages, chars) partial aggregate; ``group_apply``
+    on the host then sums every host's partials with one pandas
+    ``groupby`` per block. The sort carries one row per (batch, host),
+    never page rows; hosts grow with the crawl."""
+    import pyarrow.compute as pc
 
     from ..sources.pages import ensure_pages_fixture
 
-    path = ensure_pages_fixture()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+    def partial(batch: pa.Table) -> pd.DataFrame:
         m = pc.extract_regex(batch.column("url"), r"^https://(?P<host>[^/]+)/")
-        host = pc.struct_field(m, "host")
         nch = pc.utf8_length(batch.column("text")).cast(pa.int64())
-        df = pd.DataFrame({"host": host.to_pandas(), "n_chars": nch.to_pandas()})
-        g = df.groupby("host", sort=False, observed=True)["n_chars"].agg(
-            ["count", "sum"]
-        )
-        return pa.table(
-            {
-                "host": pa.array(g.index.to_numpy(), type=pa.string()),
-                "n_partial": pa.array(g["count"].to_numpy(np.int64)),
-                "c_partial": pa.array(g["sum"].to_numpy(np.int64)),
-            }
-        )
+        df = pd.DataFrame({"host": pc.struct_field(m, "host").to_pandas(),
+                           "n_chars": nch.to_pandas()})
+        return df.groupby("host", sort=False).agg(
+            n_pages=("n_chars", "count"), sum_chars=("n_chars", "sum")).reset_index()
 
-    parts = _read_path(path, ["url", "text"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    return parts.groupby("host").aggregate(
-        Sum("n_partial", alias_name="n_pages"),
-        Sum("c_partial", alias_name="sum_chars"),
-    )
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("host", sort=False, as_index=False)[["n_pages", "sum_chars"]].sum()
+
+    parts = _read_path(ensure_pages_fixture(), ["url", "text"]).map_batches(
+        partial, batch_format="pyarrow")
+    return group_apply(parts, "host", merge)
 
 
 SQL_DOMAIN_STATS = """
@@ -3066,33 +3052,41 @@ FROM q LEFT JOIN canon c ON q.hh=c.hh ORDER BY q.doc_id
 """
 
 
-def q_word_freq(sf_dir: str):
-    """Corpus-wide term frequency, top 50: per-batch value_counts is
-    the map-side combiner (shuffle moves distinct-words-per-batch,
-    not one row per token), then a small groupby-sum + sort + limit.
-    Tokenization is Arrow split_pattern over the flat UTF-8 buffer."""
+def _top(df: pd.DataFrame, n: int, score: str, key: str) -> pd.DataFrame:
+    """The first ``n`` rows of ``df`` by (``score`` desc, ``key`` asc)."""
+    df = df.sort_values([score, key], ascending=[False, True], kind="mergesort")
+    return df.head(n).reset_index(drop=True)
+
+
+def _top_grams(parts, gram: str, n: int) -> pd.DataFrame:
+    """The top ``n`` grams of a (``gram``, ``n``) partial-count stream
+    by (total desc, gram asc). ``group_apply`` on the gram puts each
+    gram's partials in one block, so a block's sums are final and its
+    own top ``n`` holds every gram of the global top ``n`` it has; the
+    driver takes the top ``n`` of at most blocks × ``n`` rows."""
+
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        return _top(df.groupby(gram, sort=False, as_index=False)["n"].sum(), n, "n", gram)
+
+    return _top(collect(group_apply(parts, gram, top), {gram: object, "n": np.int64}),
+                n, "n", gram)
+
+
+def _word_counts(batch: pa.Table) -> pa.Table:
+    """The batch's (word, n) counts: Arrow split_pattern over the flat
+    UTF-8 buffer, then value_counts, the map-side combiner."""
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-        vc = words.value_counts()
-        return pa.table(
-            {
-                "word": vc.field("values"),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
+    vc = pc.list_flatten(pc.split_pattern(batch.column("text"), " ")).value_counts()
+    return pa.table({"word": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
-    from ray.data.aggregate import Sum
 
-    return (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("n", alias_name="n"))
-        .sort(["n", "word"], descending=[True, False])
-        .limit(50)
-    )
+def q_word_freq(sf_dir: str):
+    """Corpus-wide word frequency, top 50: per-batch ``_word_counts``
+    (the sort moves distinct words per batch, not one row per token),
+    then ``_top_grams``."""
+    parts = _read(sf_dir, "documents", ["text"]).map_batches(_word_counts, batch_format="pyarrow")
+    return _top_grams(parts, "word", 50)
 
 
 SQL_WORD_FREQ = """
@@ -3106,12 +3100,13 @@ def q_tfidf_top(sf_dir: str):
     """Top-3 tf-idf terms per source: ONE tokenize pass emits both
     partial aggregates (tf per (source, term); doc-frequency per term —
     per-doc dedup is local because documents never span batches),
-    tagged by kind so a single small shuffle combines them; the final
-    (sources × terms) join is driver-side on combiner output. Scores
-    are fixed-point micro-units so the hash is integer-exact."""
+    tagged by kind. ``group_apply`` on the term puts every tf and df
+    partial of a term in one block, which sums them, scores its terms
+    and keeps its own top 3 per source; the driver runs the same
+    ``top_k_per_key`` over those partials. Scores are fixed-point
+    micro-units so the hash is integer-exact."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Sum
 
     n_docs = pads.dataset(f"{sf_dir}/documents.parquet", format="parquet").count_rows()
 
@@ -3160,24 +3155,26 @@ def q_tfidf_top(sf_dir: str):
             }
         )
 
-    agg = collect(
-        _read(sf_dir, "documents", ["text", "source"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["kind", "key1", "term"])
-        .aggregate(Sum("n", alias_name="n")),
-        {"kind": np.int64, "key1": object, "term": object, "n": np.int64},
-    )
-    tf = agg[agg["kind"] == 0][["key1", "term", "n"]].rename(
-        columns={"key1": "source", "n": "tf"}
-    )
-    dfreq = agg[agg["kind"] == 1][["term", "n"]].rename(columns={"n": "df"})
-    j = tf.merge(dfreq, on="term")
-    j["score_micro"] = np.round(
-        j["tf"].to_numpy(np.float64)
-        * np.log(float(n_docs) / j["df"].to_numpy(np.float64))
-        * 1e6
-    ).astype(np.int64)
-    out = top_k_per_key(j, "source", "score_micro", "term", 3)
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        agg = df.groupby(["kind", "key1", "term"], sort=False, as_index=False)["n"].sum()
+        tf = agg[agg["kind"] == 0][["key1", "term", "n"]].rename(
+            columns={"key1": "source", "n": "tf"}
+        )
+        dfreq = agg[agg["kind"] == 1][["term", "n"]].rename(columns={"n": "df"})
+        j = tf.merge(dfreq, on="term")
+        j["score_micro"] = np.round(
+            j["tf"].to_numpy(np.float64)
+            * np.log(float(n_docs) / j["df"].to_numpy(np.float64))
+            * 1e6
+        ).astype(np.int64)
+        return top_k_per_key(j[["source", "term", "score_micro"]], "source", "score_micro",
+                             "term", 3)
+
+    parts = _read(sf_dir, "documents", ["text", "source"]).map_batches(
+        partial, batch_format="pyarrow")
+    top = collect(group_apply(parts, "term", score),
+                  {"source": object, "term": object, "score_micro": np.int64})
+    out = top_k_per_key(top, "source", "score_micro", "term", 3)
     return out[["source", "rank", "term", "score_micro"]]
 
 
@@ -3202,39 +3199,21 @@ FROM r WHERE rank <= 3 ORDER BY source, rank
 
 
 def q_inverted_index(sf_dir: str):
-    """Posting lists for the corpus's top-20 terms: pass 1 aggregates
-    term totals (map-side value_counts combiner) and broadcasts the
-    top set; pass 2 tokenizes, filters to the set (pc.is_in), emits
+    """Posting lists for the corpus's top-20 terms: pass 1 takes them
+    with ``_word_counts`` and ``_top_grams`` and broadcasts the top
+    set; pass 2 tokenizes, filters to the set (pc.is_in), emits
     per-batch-distinct (term, doc_id) pairs, and group_apply on the
     term builds every term run's sorted posting string with one
     list-join per block. Posting lists are the one genuinely
     list-valued output — serialized as comma strings so the value
     hash is format-stable across engines."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    TOP = 20
-
-    def counts(batch: pa.Table) -> pa.Table:
-        words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-        vc = words.value_counts()
-        return pa.table(
-            {
-                "term": vc.field("values"),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
-    top_df = collect(
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("n", alias_name="n")),
-        {"term": object, "n": np.int64},
-    ).sort_values(["n", "term"], ascending=[False, True], kind="mergesort").head(TOP)
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    top_df = _top_grams(docs.map_batches(_word_counts, batch_format="pyarrow"), "word", 20)
     if top_df.empty:  # no terms, so no postings
         return pd.DataFrame(columns=["term", "n_docs", "postings"]).astype({"n_docs": np.int64})
-    top_terms = pa.array(top_df["term"].tolist())
+    top_terms = pa.array(top_df["word"].tolist())
 
     def pairs(batch: pa.Table) -> pd.DataFrame:
         lst = pc.split_pattern(batch.column("text"), " ")
@@ -3260,7 +3239,6 @@ def q_inverted_index(sf_dir: str):
             }
         )
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return group_apply(docs.map_batches(pairs, batch_format="pyarrow"), "term", postings)
 
 
@@ -3282,7 +3260,8 @@ def q_bigram_stats(sf_dir: str):
     """Top-30 bigram collocations. Bigrams are formed on the FLAT word
     buffer (values[i] + ' ' + values[i+1]) with document boundaries
     masked out via the list offsets — fully vectorized, no per-row
-    Python. Same combiner shape as q_word_freq."""
+    Python. Per-batch value_counts, then ``_top_grams``, as
+    q_word_freq."""
     import pyarrow.compute as pc
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3311,16 +3290,8 @@ def q_bigram_stats(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
-        .sort(["n", "bigram"], descending=[True, False])
-        .limit(30)
-    )
+    parts = _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow")
+    return _top_grams(parts, "bigram", 30)
 
 
 SQL_BIGRAM_STATS = """
@@ -3443,9 +3414,9 @@ def _tag_union(tag: str, members):
     names a member column and anything else is a per-row constant. One
     lazy ``Dataset.union`` — a block concat, no shuffle; members stream
     independently. Members that are driver frames (``merge_partials``
-    results) are retagged on the driver and concatenated into a frame,
-    which keeps the schema on zero rows where an empty Dataset loses
-    it."""
+    or ``_top_grams`` results) are retagged on the driver and
+    concatenated into a frame, which keeps the schema on zero rows
+    where an empty Dataset loses it."""
 
     def retag(value, cols):
         def fn(t: pa.Table) -> pa.Table:
@@ -3684,8 +3655,8 @@ FROM ({SQL_EVENTS_WINDOW_JOIN})
 
 def q_ngram_freq(sf_dir: str):
     """Corpus-wide top-50 word + top-30 bigram frequency tag-union
-    (kind, gram, n) — both members keep their map-side value_counts
-    combiner shape."""
+    (kind, gram, n): two typed driver frames from ``_top_grams``, one
+    Ray Data execution each, concatenated by ``_tag_union``."""
     return _tag_union("kind", [
         ("word", q_word_freq(sf_dir), {"gram": "word", "n": "n"}),
         ("bigram", q_bigram_stats(sf_dir), {"gram": "bigram", "n": "n"}),

@@ -8,8 +8,8 @@ top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
 polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
 read guard keeps one parquet read (``_read_path``); the per-key guard
 keeps one keyed group-apply (``dedup.group_apply``); the actor-pool
-guard keeps every Ray Data map a stateless task; the bounded-key
-guard keeps Ray Data ``groupby`` to keys that grow with the corpus."""
+guard keeps every Ray Data map a stateless task; the aggregate guard
+keeps every keyed aggregate on ``merge_partials`` or ``group_apply``."""
 
 import ast
 import os
@@ -235,29 +235,64 @@ def test_no_actor_pools():
     assert found == []
 
 
-def test_ray_groupby_only_on_growing_keys():
-    """A Ray Data ``groupby`` (one followed by a ``GroupedData`` method)
-    or a ``ray.data.aggregate`` import in ``queries.py`` sits only in a
-    query whose key grows with the corpus: word, (kind, source, term),
-    term, bigram, host. A bounded key merges on the driver through
-    ``merge_partials`` instead."""
+def _aggregate_sites(tree):
+    """(enclosing function, kind) of each Ray Data aggregate in ``tree``:
+    a ``ray.data.aggregate`` import; a ``groupby(...)`` with no pandas
+    keyword followed by a ``GroupedData`` method; a ``.limit(`` call; a
+    Dataset reduction (``.sum/.min/.max/.mean/.std/.unique/.aggregate``
+    on a column name, or ``.aggregate`` of an ``AggregateFn``); and a Dataset
+    ``.sort(`` (a positional key or ``descending=``, which ``list.sort``
+    never takes) outside ``group_apply``."""
     grouped = {"aggregate", "count", "sum", "min", "max", "mean", "std", "map_groups"}
+    reductions = {"sum", "min", "max", "mean", "std", "unique", "aggregate"}
 
-    def ray_groupby(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in grouped and isinstance(node.func.value, ast.Call)
-                and getattr(node.func.value.func, "attr", None) == "groupby")
+    def kind(node, fn):
+        if isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate":
+            return "import"
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return None
+        attr, recv = node.func.attr, node.func.value
+        if (attr in grouped and isinstance(recv, ast.Call)
+                and getattr(recv.func, "attr", None) == "groupby"
+                and all(k.arg == "num_partitions" for k in recv.keywords)):
+            return "groupby"
+        if attr == "limit":
+            return "limit"
+        if attr in reductions and (
+                any(k.arg == "on" for k in node.keywords)
+                or any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                       for a in node.args)):
+            return attr
+        if attr == "aggregate" and any(
+                isinstance(a, ast.Call) and getattr(a.func, "id", "")[:1].isupper()
+                for a in node.args):
+            return attr
+        if attr == "sort" and fn != "group_apply" and (
+                node.args or any(k.arg == "descending" for k in node.keywords)):
+            return "sort"
+        return None
 
-    def aggregate_import(node):
-        return isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate"
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else fn
+            hit = kind(child, fn)
+            if hit:
+                yield name, hit
+            yield from walk(child, name)
 
-    with open(q.__file__) as f:
-        tree = ast.parse(f.read())
-    sites = sorted((fn.name, kind)
-                   for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                   for n in ast.walk(fn)
-                   for kind, hit in (("groupby", ray_groupby), ("import", aggregate_import))
-                   if hit(n))
-    growing = ("q_bigram_stats", "q_domain_stats", "q_inverted_index", "q_tfidf_top",
-               "q_word_freq")
-    assert sites == [(name, kind) for name in growing for kind in ("groupby", "import")]
+    return list(walk(tree, None))
+
+
+def test_no_ray_data_aggregate():
+    """No Ray Data aggregate runs in ``rayproj/``: bounded keys merge on
+    the driver through ``merge_partials``, growing keys run through
+    ``dedup.group_apply`` (the only Dataset ``sort``), and a top-n is a
+    per-block top-n merged on the driver after ``collect``."""
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    sites = []
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name)) as f:
+                    sites += [(name, *site) for site in _aggregate_sites(ast.parse(f.read()))]
+    assert sites == []

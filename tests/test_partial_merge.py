@@ -4,7 +4,8 @@ DuckDB twins on tables this module writes itself — empty, and split
 across several parquet files so the merge sees partials from more than
 one block (the query layer reads one block per file). The group_apply
 queries run on the same split tables: their per-block kernels must be
-exact whatever mix of key runs a sorted block holds."""
+exact whatever mix of key runs a sorted block holds, as must a
+per-block top-n merged on the driver."""
 
 import duckdb
 import numpy as np
@@ -27,7 +28,10 @@ MERGED = {
 }
 # queries that collect a stream on the driver before their last step
 COLLECTED = ("ann_topk", "simhash_neardup", "kmeans_embed", "knn_anchors",
-             "decontaminate", "tfidf_top", "inverted_index", "join_orders_customer")
+             "decontaminate", "tfidf_top", "inverted_index", "join_orders_customer",
+             "ngram_freq", "top_orders")
+# queries that sort, through group_apply only, on a key that grows with the corpus
+SORTED = ("sampling", "ngram_freq", "inverted_index", "tfidf_top", "domain_stats")
 EVENT_TYPES = np.array(["signup", "purchase", "view", "click", "error"])
 DAY_US = 86_400 * 10**6
 
@@ -126,6 +130,17 @@ def test_empty_tables_return_named_columns(tmp_path, ray_session, sf_dir):
         _assert_same(got.to_pandas() if isinstance(got, rd.Dataset) else got, want)
 
 
+def test_join_of_orders_with_no_customers(tmp_path, ray_session, sf_dir):
+    """``customer`` empty, ``orders`` full: no order has a customer, so
+    the inner join is the oracle's typed zero-row frame."""
+    for table in ("orders", "customer"):
+        full = pq.read_table(f"{sf_dir}/{table}.parquet")
+        _write(tmp_path, table, full.slice(0, 0) if table == "customer" else full, 1)
+    want = _oracle(tmp_path, "join_orders_customer")
+    assert len(want) == 0
+    _assert_same(q.q_join_orders_customer(str(tmp_path)), want)
+
+
 @pytest.mark.parametrize("n_events,n_files", [(3_000, 5), (20_000, 7)])
 def test_sessions_exact_across_overlapping_blocks(tmp_path, ray_session,
                                                   n_events, n_files):
@@ -178,21 +193,21 @@ def test_partial_sums_exact_past_2_53(tmp_path, ray_session, sf_dir):
     assert dict(zip(got["poly_id"].tolist(), got["sum_doc_id"].tolist())) == sums
 
 
-@pytest.mark.parametrize("name", [*MERGED, "flagship", "sampling"])
+@pytest.mark.parametrize("name", [*MERGED, "flagship", "top_orders", *SORTED])
 def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypatch,
                                           sf_dir):
-    """No sort, groupby or repartition runs; ``sampling`` only runs no
-    groupby, its per-lang trim sorts through group_apply."""
+    """No sort, groupby or repartition runs; the SORTED queries only run
+    no groupby, they sort through group_apply."""
     import ray.data as rd
 
     def shuffle(self, *args, **kwargs):
         raise AssertionError("a Ray Data shuffle ran")
 
-    ops = ("groupby",) if name == "sampling" else (
+    ops = ("groupby",) if name in SORTED else (
         "groupby", "sort", "repartition", "random_shuffle")
     for op in ops:
         monkeypatch.setattr(rd.Dataset, op, shuffle)
-    _split(sf_dir, tmp_path, MERGED.get(name, ("documents",)), 2)
+    _split(sf_dir, tmp_path, {**MERGED, "top_orders": ("orders",)}.get(name, ("documents",)), 2)
     if name == "flagship":
         docs = rd.read_parquet(str(tmp_path / "documents.parquet"))
         out = tile_stats(run_flagship(docs, key_col="doc_id", lang_col="lang"))
@@ -202,28 +217,28 @@ def test_merged_aggregates_run_no_shuffle(name, tmp_path, ray_session, monkeypat
         assert len(res.to_pandas() if hasattr(res, "to_pandas") else res) > 0
 
 
-def test_tfidf_top_on_sharded_documents(tmp_path, ray_session, sf_dir):
-    """q_tfidf_top counts the documents of a ``documents.parquet/``
-    directory, not only of a single file."""
-    _write(tmp_path, "documents", pq.read_table(f"{sf_dir}/documents.parquet"), 4)
-    assert _n_blocks(tmp_path, "documents") == 4
-    _assert_same(q.q_tfidf_top(str(tmp_path)), _oracle(tmp_path, "tfidf_top"))
-
-
-# the group_apply queries and the tables they read
+# the group_apply and per-block top-n queries and the tables they read
 GROUPED = {
     "events_joins": "events", "sampling": "documents",
     "inverted_index": "documents", "token_quantiles": "documents",
     "embed_neardup": "embeddings", "simhash_neardup": "documents",
-    "dedup_clusters": "documents",
+    "dedup_clusters": "documents", "ngram_freq": "documents",
+    "top_orders": "orders", "tfidf_top": "documents",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GROUPED))
 def test_grouped_queries_exact_across_blocks(name, tmp_path, ray_session, sf_dir):
+    """Each query on its table as 4 files equals its oracle: a block's
+    kernel is exact whatever key runs it holds, and a per-block top-n
+    merges exactly (``tfidf_top`` also counts the documents of every
+    file). ``domain_stats`` reads the one-file pages fixture; its
+    group_apply co-location rests on
+    ``tests/test_dedup_cc.py::test_group_apply_colocates_every_key_run``."""
     table = GROUPED[name]
     _write(tmp_path, table, pq.read_table(f"{sf_dir}/{table}.parquet"), 4)
     assert _n_blocks(tmp_path, table) == 4
     want = _oracle(tmp_path, name)
     assert len(want) > 0
-    _assert_same(q.QUERIES[name](str(tmp_path)).to_pandas(), want)
+    got = q.QUERIES[name](str(tmp_path))
+    _assert_same(got if isinstance(got, pd.DataFrame) else got.to_pandas(), want)
