@@ -121,11 +121,21 @@ def partitions(parquet_path: str, n_partitions: int) -> tuple[dict, list]:
     hi)`` row ranges — ``n_partitions`` even ranges of a single file,
     or one partition per file of a directory (``n_partitions`` is
     ignored then): the natural unit at 100 TB (a shard list from the
-    catalog), so resume granularity matches the storage layout."""
+    catalog), so resume granularity matches the storage layout.
+
+    A directory holding a file that a reader of it reads but the
+    partitions leave out (in a subdirectory, or without the ``.parquet``
+    suffix) raises ``ValueError`` naming those files: a run over it
+    would commit part of the input and report success."""
     import pyarrow.parquet as pq
 
     metas = {f: pq.read_metadata(f) for f in parquet_shards(parquet_path)}
     if os.path.isdir(parquet_path):
+        read = pq.ParquetDataset(parquet_path, partitioning=None).files
+        left_out = sorted(set(map(os.path.normpath, read)) - set(map(os.path.normpath, metas)))
+        if left_out:
+            raise ValueError(f"{parquet_path}: the partitions would skip {left_out}; "
+                             "only top-level .parquet files are partitioned")
         return metas, [(f, 0, m.num_rows) for f, m in metas.items()]
     n_rows = metas[parquet_path].num_rows
     bounds = [int(round(i * n_rows / n_partitions)) for i in range(n_partitions + 1)]

@@ -159,17 +159,22 @@ def test_one_polygon_index():
 
 def test_one_read_path():
     """Every parquet read in queries.py goes through ``_read_path``,
-    which plans one read task per input file, fused with the map."""
+    which plans one read task per input file, fused with the map, and
+    reads through ``parquet_source.ParquetFiles``: ``read_datasource`` is
+    called there alone, and no ``read_parquet`` call is left."""
     with open(q.__file__) as f:
         tree = ast.parse(f.read())
-    callers = sorted(
-        fn.name
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read_parquet"
-    )
-    assert callers == ["_read_path"]
+
+    def called(nodes):
+        return [getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in nodes if isinstance(n, ast.Call)]
+
+    read_path = next(fn for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "_read_path")
+    everywhere = called(ast.walk(tree))
+    assert everywhere.count("read_datasource") == 1
+    assert "read_datasource" in called(ast.walk(read_path))
+    assert "read_parquet" not in everywhere
 
 
 def test_one_group_apply():

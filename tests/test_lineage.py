@@ -270,3 +270,21 @@ def test_multi_row_group_input_matches_single_group(ray_session, tmp_path):
         want = pq.read_table(os.path.join(one, f"part={p}"))
         got = pq.read_table(os.path.join(many, f"part={p}"))
         assert got.num_rows > 0 and got.equals(want)
+
+
+def test_directory_with_nested_files_is_refused(ray_session, tmp_path):
+    """A reader of a directory reads its subdirectories too; a job that
+    partitions only the top-level files would commit 50 of the 150 rows
+    and report success. It raises instead, naming the left-out file, and
+    writes nothing."""
+    tbl = pq.read_table(SRC)
+    src = tmp_path / "docs"
+    (src / "lang=en").mkdir(parents=True)
+    _write_docs(src / "part-1.parquet", tbl.slice(0, 50))
+    _write_docs(src / "lang=en" / "part-0.parquet", tbl.slice(50, 100))
+    with pytest.raises(ValueError, match=r"lang=en/part-0\.parquet"):
+        partitions(str(src), 0)
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=r"lang=en/part-0\.parquet"):
+        checkpointed_flagship(str(src), out)
+    assert not os.path.exists(out)
