@@ -110,79 +110,6 @@ def top_k_per_key(df: pd.DataFrame, key: str, score: str, id_col: str,
     return df.assign(rank=rank)[rank <= k].reset_index(drop=True)
 
 
-class ExactPrunedKNN:
-    """Exact kNN self-join with IVF bucket pruning — the 100-TB shape.
-
-    Corpus vectors are bucketed by an IVF coarse quantizer; each bucket
-    stores (ids, normalized sub-matrix, angular radius r_c = max angle
-    of a member to its centroid). A query visits buckets in descending
-    upper-bound order, where bound(q, c) = cos(max(theta_qc - r_c, 0))
-    + eps >= any member's cosine, and stops once the bound falls below
-    its current kth-best — a branch-and-bound that returns EXACTLY the
-    brute-force answer (same oracle) while scanning a fraction of the
-    corpus when buckets are tight. State is built once and shipped via
-    ``ray.put``; batches probe it read-only (zero-copy numpy views).
-    """
-
-    _EPS = 1e-9  # covers arccos/cos round-trip float error in the bound
-
-    def __init__(self, ids: np.ndarray, mat: np.ndarray, n_centroids: int):
-        matn = _normalize(mat.astype(np.float64))
-        index = IVFIndex.train(mat, n_centroids)
-        assign = index.assign(mat)
-        self.centroids = index.centroids
-        order = np.argsort(assign, kind="stable")
-        self.bucket_ids, self.bucket_mats, radii = [], [], []
-        bounds = np.searchsorted(assign[order], np.arange(n_centroids + 1))
-        for c in range(n_centroids):
-            sel = order[bounds[c]:bounds[c + 1]]
-            sub = matn[sel]
-            self.bucket_ids.append(ids[sel])
-            self.bucket_mats.append(sub)
-            if len(sel):
-                cos_to_c = np.clip(sub @ self.centroids[c], -1.0, 1.0)
-                radii.append(float(np.arccos(cos_to_c).max()))
-            else:
-                radii.append(0.0)
-        self.radii = np.asarray(radii)
-
-    def query(self, qids: np.ndarray, qmat: np.ndarray, k: int,
-              exclude_self: bool = True) -> np.ndarray:
-        """(Q, k) neighbor ids, ties (cosine desc, id asc), exact."""
-        qn = _normalize(qmat.astype(np.float64))
-        nq, c = len(qn), len(self.centroids)
-        theta = np.arccos(np.clip(qn @ self.centroids.T, -1.0, 1.0))
-        bound = np.cos(np.maximum(theta - self.radii[None, :], 0.0)) + self._EPS
-        bound[:, [len(b) == 0 for b in self.bucket_ids]] = -np.inf
-        visit = np.argsort(-bound, axis=1, kind="stable")
-        best_sim = np.full((nq, k), -np.inf)
-        best_id = np.full((nq, k), np.iinfo(np.int64).max, dtype=np.int64)
-        active = np.arange(nq)
-        for j in range(c):
-            if not len(active):
-                break
-            kth = best_sim[active, k - 1]
-            bkt = visit[active, j]
-            still = bound[active, bkt] >= kth
-            active = active[still]
-            if not len(active):
-                break
-            bkt = bkt[still]
-            for cb in np.unique(bkt):
-                rows = active[bkt == cb]
-                sims = np.einsum("qd,nd->qn", qn[rows], self.bucket_mats[cb])
-                cids = self.bucket_ids[cb]
-                if exclude_self:
-                    sims[qids[rows][:, None] == cids[None, :]] = -np.inf
-                new_s, new_i = topk_window(sims, cids, k)
-                cand_s = np.concatenate([best_sim[rows], new_s], axis=1)
-                cand_i = np.concatenate([best_id[rows], new_i], axis=1)
-                sel = np.lexsort((cand_i, -cand_s), axis=1)[:, :k]
-                best_sim[rows] = np.take_along_axis(cand_s, sel, axis=1)
-                best_id[rows] = np.take_along_axis(cand_i, sel, axis=1)
-        return best_id
-
-
 class IVFIndex:
     """IVF-style bucketing: deterministic centroids (first C distinct
     vectors, normalized), nprobe-bucket search. Assignment runs per
@@ -190,19 +117,6 @@ class IVFIndex:
 
     def __init__(self, centroids: np.ndarray):
         self.centroids = _normalize(centroids.astype(np.float64))
-
-    @classmethod
-    def train(cls, sample: np.ndarray, n_centroids: int, iters: int = 5):
-        cents = _normalize(sample[:n_centroids].astype(np.float64))
-        data = _normalize(sample.astype(np.float64))
-        for _ in range(iters):
-            assign = np.argmax(data @ cents.T, axis=1)
-            for c in range(len(cents)):
-                members = data[assign == c]
-                if len(members):
-                    cents[c] = members.mean(axis=0)
-            cents = _normalize(cents)
-        return cls(cents)
 
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         return np.argmax(_normalize(vectors.astype(np.float64)) @ self.centroids.T, axis=1)

@@ -21,8 +21,8 @@ from ..core.constants import DEG_TO_RAD, RAD_TO_DEG
 from ..core.factory import create_operation
 from ..core.op import FWD, INV, Coords
 from ..functions import text as textfn
-from ..functions.ann import (ExactPrunedKNN, IVFIndex, _normalize, emb_matrix,
-                             top_k_per_key, topk_rows, topk_window)
+from ..functions.ann import (IVFIndex, _normalize, emb_matrix, top_k_per_key,
+                             topk_rows, topk_window)
 from ..functions.dedup import MinHasher, collect, group_apply, runs, simhash64
 from ..spatial.cells import cell_xy
 from ..spatial.polygons import layer_index
@@ -1676,7 +1676,10 @@ def q_kmeans_embed(sf_dir: str):
     pass emitting K partial (count, sum-vector) rows per block (the
     classic combiner — no shuffle of the points, only K x n_blocks
     tiny partials reach the driver), the K x D centroid matrix
-    broadcasts back per iteration. Determinism contract for the
+    broadcasts back per iteration. The K seed centroids (vec_id < K)
+    are read on the driver by ``_vectors_below``, and every pass builds
+    its block matrix with ``emb_matrix``: 3 Ray Data executions per
+    call (2 iterations, then the assignment). Determinism contract for the
     oracle: centroids round to 1e-5 after every update, assignment
     uses squared-euclidean distance rounded to 1e-5 with ties to the
     lowest cluster id — the SQL twin unrolls both iterations as CTEs
@@ -1690,23 +1693,19 @@ def q_kmeans_embed(sf_dir: str):
     makes the boundary set 10x sparser relative to the ~1e-12
     float64 reorder noise. Verified exact at sf0.001/0.01/0.1."""
     K, ITERS = 8, 2
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    seed = collect(
-        ds.map_batches(lambda df: df[df["vec_id"].to_numpy() < K], batch_format="pandas"),
-        {"vec_id": np.int64, "embedding": object},
-    ).sort_values("vec_id")
-    if seed.empty:  # no initial centroids, so no vector is assigned
+    C = _vectors_below(sf_dir, K)[1]
+    if not len(C):  # no initial centroids, so no vector is assigned
         return pd.DataFrame({"vec_id": [], "cluster": []}, dtype=np.int64)
-    C = np.stack(seed["embedding"].to_numpy()).astype(np.float64)
     D = C.shape[1]
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def assign(X: np.ndarray, C: np.ndarray) -> np.ndarray:
         d = np.round(((X[:, None, :] - C[None, :, :]) ** 2).sum(-1), 5)
         return np.argmin(d, axis=1)
 
     for _ in range(ITERS):
-        def partial(df: pd.DataFrame, C=C) -> pd.DataFrame:
-            X = np.stack(df["embedding"].to_numpy()).astype(np.float64)
+        def partial(batch: pa.Table, C=C) -> pd.DataFrame:
+            X = emb_matrix(batch)[1]
             lab = assign(X, C)
             sums = np.zeros((K, D))
             np.add.at(sums, lab, X)
@@ -1718,7 +1717,7 @@ def q_kmeans_embed(sf_dir: str):
                 }
             )
 
-        parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
         counts = parts.groupby("k")["n"].sum().to_numpy()
         sums = np.zeros((K, D))
         for k_, s_ in zip(parts["k"].to_numpy(), parts["s"].to_numpy()):
@@ -1727,16 +1726,11 @@ def q_kmeans_embed(sf_dir: str):
             newC = np.round(sums / counts[:, None], 5)
         C = np.where((counts > 0)[:, None], newC, C)
 
-    def final(df: pd.DataFrame, C=C) -> pd.DataFrame:
-        X = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        return pd.DataFrame(
-            {
-                "vec_id": df["vec_id"].to_numpy(np.int64),
-                "cluster": assign(X, C).astype(np.int64),
-            }
-        )
+    def final(batch: pa.Table, C=C) -> pd.DataFrame:
+        ids, X = emb_matrix(batch)
+        return pd.DataFrame({"vec_id": ids, "cluster": assign(X, C).astype(np.int64)})
 
-    return ds.map_batches(final, batch_format="pandas")
+    return ds.map_batches(final, batch_format="pyarrow")
 
 
 def _kmeans_sql() -> str:
@@ -1846,45 +1840,32 @@ ORDER BY query_id, rank
 """
 
 
-# above this corpus size the kNN self-join switches from the dense
-# broadcast scan to the IVF-pruned exact index (same answers — the
-# pruning is a branch-and-bound upper bound, not an approximation).
-# Both score with einsum, not a BLAS matmul, so exact duplicate vectors
-# score the same bits wherever they sit and ties break on neighbor_id.
-KNN_DENSE_MAX_ROWS = 200_000
-
-
-def _knn_join_impl(sf_dir: str, use_ivf: bool | None = None):
-    """Shared body for q_knn_join; ``use_ivf`` forces a code path so
-    tests can pin both (None = auto by corpus size)."""
+def q_knn_join(sf_dir: str):
+    """Embedding kNN self-join: every vector's top-k cosine neighbors
+    (self excluded), exact, tie-broken (cosine desc, id asc). The
+    corpus-side state, the ids and the normalized matrix, is built from
+    Arrow value buffers, shipped ONCE via ray.put, and probed read-only
+    by every batch, which finishes its vectors' top-k in its own task.
+    Scores use einsum, not a BLAS matmul, so exact duplicate vectors
+    score the same bits wherever they sit and ties break on
+    neighbor_id. Map-only: no shuffle; output (vec_id, rank,
+    neighbor_id), collected on the driver."""
     import pyarrow.parquet as pq
     import ray
 
     tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
                         columns=["vec_id", "embedding"])
     ids_all, mat = emb_matrix(tbl)
-    if use_ivf is None:
-        use_ivf = len(ids_all) > KNN_DENSE_MAX_ROWS
-
-    if use_ivf:
-        index = ExactPrunedKNN(ids_all, mat,
-                               n_centroids=max(8, int(len(ids_all) ** 0.5)))
-        state_ref = ray.put(index)
-    else:
-        matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        state_ref = ray.put((ids_all, matn))
+    matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    state_ref = ray.put((ids_all, matn))
 
     def fn(batch: pa.Table) -> pd.DataFrame:
-        state = ray.get(state_ref)  # zero-copy shared-memory view per node
+        ids_c, matn_c = ray.get(state_ref)  # zero-copy shared-memory view per node
         qids, q = emb_matrix(batch)
-        if use_ivf:
-            nbr = state.query(qids, q, KNN_K, exclude_self=True)
-        else:
-            ids_c, matn_c = state
-            qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-            sims = np.einsum("qd,nd->qn", qn, matn_c)
-            sims[qids[:, None] == ids_c[None, :]] = -np.inf
-            _, nbr = topk_window(sims, ids_c, KNN_K)
+        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
+        sims = np.einsum("qd,nd->qn", qn, matn_c)
+        sims[qids[:, None] == ids_c[None, :]] = -np.inf
+        _, nbr = topk_window(sims, ids_c, KNN_K)
         return pd.DataFrame(
             {
                 "vec_id": np.repeat(qids, KNN_K),
@@ -1894,23 +1875,10 @@ def _knn_join_impl(sf_dir: str, use_ivf: bool | None = None):
             }
         )
 
-    return _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        fn, batch_format="pyarrow"
-    )
-
-
-def q_knn_join(sf_dir: str):
-    """Embedding kNN self-join: every vector's top-k cosine neighbors
-    (self excluded), exact, tie-broken (cosine desc, id asc). The
-    corpus-side state (dense normalized matrix below
-    KNN_DENSE_MAX_ROWS, IVF-bucketed ExactPrunedKNN branch-and-bound
-    index above it — identical answers either way) is built from Arrow
-    value buffers, shipped ONCE via ray.put, and probed read-only by
-    every batch. Map-only: no shuffle; output (vec_id, rank,
-    neighbor_id). At real scale the index build itself distributes
-    (kmeans_embed's combiner Lloyd for centroids + per-bucket parquet);
-    here the driver builds it from the fixture table."""
-    return _knn_join_impl(sf_dir, use_ivf=None)
+    pairs = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        fn, batch_format="pyarrow")
+    return collect(pairs, {"vec_id": np.int64, "rank": np.int64,
+                           "neighbor_id": np.int64})
 
 
 SQL_KNN_JOIN = f"""
@@ -2102,7 +2070,8 @@ def q_embed_neardup(sf_dir: str):
     # pairs sharing >1 probe bucket repeat: exact pair dedup
     from ..functions.dedup import dedup_pairs_ds
 
-    return dedup_pairs_ds(cand, "vec_a", "vec_b")
+    return collect(dedup_pairs_ds(cand, "vec_a", "vec_b"),
+                   {"vec_a": np.int64, "vec_b": np.int64})
 
 
 SQL_EMBED_NEARDUP = """

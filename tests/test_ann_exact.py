@@ -1,13 +1,13 @@
-"""Exact-kNN kernels: tie-safe windowed top-k, its per-key merge and
-the IVF-pruned branch-and-bound index must agree bit-for-bit with brute
-force, and the ranked embedding queries with their SQL oracles."""
+"""Exact-kNN kernels: tie-safe windowed top-k and its per-key merge
+must agree bit-for-bit with brute force, and the ranked embedding
+queries (``ann_cosine``, ``ann_ivf``, the ``knn_join`` self-join) with
+their SQL oracles."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from rayproj.functions.ann import (ExactPrunedKNN, emb_matrix, top_k_per_key,
-                                   topk_rows, topk_window)
+from rayproj.functions.ann import emb_matrix, top_k_per_key, topk_rows, topk_window
 
 
 def brute_topk_ids(sims, ids, k):
@@ -57,37 +57,6 @@ def test_topk_window_short_rows():
     assert list(q) == [0, 0] and list(i) == [7, 3] and list(s) == [0.5, 0.1]
 
 
-def test_exact_pruned_knn_matches_brute():
-    rng = np.random.default_rng(1)
-    n, d, k = 700, 16, 5
-    mat = rng.normal(size=(n, d))
-    ids = rng.permutation(n).astype(np.int64) * 3  # non-contiguous ids
-    index = ExactPrunedKNN(ids, mat, n_centroids=24)
-    qsel = rng.choice(n, 60, replace=False)
-    qids, qmat = ids[qsel], mat[qsel]
-    got = index.query(qids, qmat, k, exclude_self=True)
-    matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    qn = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
-    sims = qn @ matn.T
-    sims[qids[:, None] == ids[None, :]] = -np.inf
-    np.testing.assert_array_equal(got, brute_topk_ids(sims, ids, k))
-
-
-def test_exact_pruned_knn_clustered_prunes_and_exact():
-    # tight clusters -> small bucket radii -> real pruning; answers
-    # must still be exact
-    rng = np.random.default_rng(2)
-    centers = rng.normal(size=(10, 8)) * 5
-    mat = np.concatenate([c + rng.normal(size=(80, 8)) * 0.05 for c in centers])
-    ids = np.arange(len(mat), dtype=np.int64)
-    index = ExactPrunedKNN(ids, mat, n_centroids=10)
-    got = index.query(ids[:50], mat[:50], 4, exclude_self=True)
-    matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    sims = matn[:50] @ matn.T
-    sims[ids[:50, None] == ids[None, :]] = -np.inf
-    np.testing.assert_array_equal(got, brute_topk_ids(sims, ids, 4))
-
-
 def test_emb_matrix_zero_copy_shape():
     import pyarrow as pa
 
@@ -102,18 +71,6 @@ def test_emb_matrix_zero_copy_shape():
     np.testing.assert_allclose(mat[1], [3.0, 4.0])
     ids0, mat0 = emb_matrix(tbl.slice(0, 0))
     assert len(ids0) == 0 and mat0.shape[0] == 0
-
-
-def test_knn_join_paths_agree(ray_session):
-    from rayproj.pipelines.queries import _knn_join_impl
-
-    sf = "/root/testdata/sf0.001"
-    a = (_knn_join_impl(sf, use_ivf=False).to_pandas()
-         .sort_values(["vec_id", "rank"]).reset_index(drop=True))
-    b = (_knn_join_impl(sf, use_ivf=True).to_pandas()
-         .sort_values(["vec_id", "rank"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
 
 
 @pytest.mark.parametrize("query", ["ann_cosine", "ann_ivf"])
@@ -147,11 +104,10 @@ def test_ann_queries_match_oracle(ray_session, sf_dir, tmp_path, query, variant)
     pd.testing.assert_frame_equal(got, want)
 
 
-@pytest.mark.parametrize("use_ivf", [False, True])
-def test_knn_join_tied_corpus_matches_oracle(ray_session, sf_dir, tmp_path, use_ivf):
-    """Both knn_join paths keep exact ties: with duplicate vectors at
-    the k-th place the self-join still ranks (cosine desc, neighbor_id
-    asc), as its oracle does."""
+def test_knn_join_tied_corpus_matches_oracle(ray_session, sf_dir, tmp_path):
+    """knn_join keeps exact ties: with duplicate vectors at the k-th
+    place the self-join still ranks (cosine desc, neighbor_id asc), as
+    its oracle does."""
     import duckdb
     import pyarrow.parquet as pq
 
@@ -172,6 +128,5 @@ def test_knn_join_tied_corpus_matches_oracle(ray_session, sf_dir, tmp_path, use_
     con.execute("CREATE VIEW embeddings AS SELECT * FROM "
                 f"read_parquet('{tmp_path}/embeddings.parquet')")
     want = con.execute(q.SQL_KNN_JOIN).df().astype("int64")
-    got = (q._knn_join_impl(str(tmp_path), use_ivf=use_ivf).to_pandas()
-           .sort_values(["vec_id", "rank"]).reset_index(drop=True))
+    got = q.q_knn_join(str(tmp_path)).sort_values(["vec_id", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)

@@ -13,9 +13,6 @@ from rayproj.state import projdb
 
 AXISSWAP_GIE = "/root/reference/test/gie/axisswap.gie"
 
-needs_registry = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG SQL scripts not available")
-
 
 def _run(argv, stdin_text):
     old_in, old_out = sys.stdin, sys.stdout
@@ -177,7 +174,7 @@ def test_proj_factors_tmerc():
     assert "0.99960000" in out  # k at the central meridian
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_projinfo_epsg_resolution(capsys):
     # db-backed describe: reference-parity PROJ.4 + WKT2:2019 sections
     rc = cli.main(["projinfo", "EPSG:32633"])
@@ -204,7 +201,7 @@ def test_formulaic_epsg_utm_families():
         assert op.params.has("south") == south
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_cs2cs_epsg_shorthand(capsys):
     # Rome through WGS84 -> UTM 33N, against the direct utm operation
     stdin = sys.stdin

@@ -4,12 +4,13 @@ of its union, these tests pin that its output equals the tagged subset
 of the union. The orphan guard keeps every ``q_*`` reachable: each one
 is registered in QUERIES or composed by another ``q_*``; the geolocate
 guard keeps one per-doc read + geolocate path (``_per_doc``); the
-top-k guard keeps one per-batch top-k kernel (``ann.topk_window``); the
-polygon-index guard keeps one per-worker ``PolygonIndex`` build; the
-read guard keeps one parquet read (``_read_path``); the per-key guard
-keeps one keyed group-apply (``dedup.group_apply``); the actor-pool
-guard keeps every Ray Data map a stateless task; the aggregate guard
-keeps every keyed aggregate on ``merge_partials`` or ``group_apply``."""
+top-k guard keeps one per-batch top-k kernel (``ann.topk_window``) and
+one kNN self-join path; the polygon-index guard keeps one per-worker
+``PolygonIndex`` build; the read guard keeps one parquet read
+(``_read_path``); the per-key guard keeps one keyed group-apply
+(``dedup.group_apply``); the actor-pool guard keeps every Ray Data map
+a stateless task; the aggregate guard keeps every keyed aggregate on
+``merge_partials`` or ``group_apply``."""
 
 import ast
 import os
@@ -17,6 +18,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from rayproj.functions.ann import IVFIndex
 from rayproj.pipelines import queries as q
 
 SF = "/root/testdata/sf0.001"
@@ -97,13 +99,14 @@ def test_one_geolocate_path():
 def test_one_topk_path():
     """The ranked queries share one top-k kernel (``ann.topk_window``)
     and one per-key merge: no other ``argpartition``, no kNN module,
-    none of the replaced top-k copies, no source top-3 shuffle."""
+    none of the replaced top-k copies, no source top-3 shuffle, and one
+    kNN self-join path (no IVF-pruned index, no ``use_ivf`` switch)."""
     def n_argpartition(node):
         return sum(isinstance(n, ast.Attribute) and n.attr == "argpartition"
                    for n in ast.walk(node))
 
     root = os.path.dirname(os.path.dirname(q.__file__))
-    total, inside, defined = 0, 0, set()
+    total, inside, defined, params = 0, 0, set(), set()
     for dirpath, _, files in os.walk(root):
         for name in files:
             if not name.endswith(".py"):
@@ -113,15 +116,21 @@ def test_one_topk_path():
                 tree = ast.parse(f.read())
             total += n_argpartition(tree)
             for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef):
+                if isinstance(fn, (ast.ClassDef, ast.FunctionDef)):
                     defined.add(fn.name)
+                if isinstance(fn, ast.FunctionDef):
+                    params |= {a.arg for a in ast.walk(fn.args)
+                               if isinstance(a, ast.arg)}
                     if (os.path.relpath(path, root), fn.name) == (
                             os.path.join("functions", "ann.py"), "topk_window"):
                         inside += n_argpartition(fn)
     assert total == inside > 0
     assert not os.path.exists(os.path.join(root, "spatial", "knn.py"))
-    gone = {"partial_topk", "cosine_topk_batch", "merge_topk", "ann_dataset"}
+    gone = {"partial_topk", "cosine_topk_batch", "merge_topk", "ann_dataset",
+            "ExactPrunedKNN", "_knn_join_impl"}
     assert defined & gone == set()
+    assert "use_ivf" not in params
+    assert not hasattr(IVFIndex, "train")
     with open(q.__file__) as f:
         tree = ast.parse(f.read())
     fn = next(n for n in tree.body

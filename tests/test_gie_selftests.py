@@ -14,14 +14,10 @@ import pytest
 from rayproj.core.errors import ProjError
 from rayproj.core.factory import create_operation
 from rayproj.core.op import FWD, INV, Coords
-from rayproj.state import projdb
 from rayproj.state.projdb import create_crs_to_crs
 
 D = math.pi / 180
 GRAD = math.pi / 200
-
-needs_registry = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG SQL scripts not available")
 
 
 def _trans(op, direction, x, y, z=0.0, t=np.inf):
@@ -32,7 +28,7 @@ def _trans(op, direction, x, y, z=0.0, t=np.inf):
     return float(r.x[0]), float(r.y[0])
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_proj_create_crs_to_crs():
     """gie_self_tests.cpp:246-279: ETRS89 UTM32 → UTM33."""
     op = create_crs_to_crs("epsg:25832", "epsg:25833")
@@ -52,7 +48,7 @@ def test_proj_create_crs_to_crs():
         create_crs_to_crs("EPSG:25832", "invalid")
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_proj_create_crs_to_crs_epsg_4326():
     """gie_self_tests.cpp:283-302: 3E 0N → UTM 31N origin."""
     op = create_crs_to_crs("EPSG:4326", "EPSG:32631")
@@ -61,7 +57,7 @@ def test_proj_create_crs_to_crs_epsg_4326():
     assert y == pytest.approx(0.0, abs=1e-9)
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_proj_create_crs_to_crs_pulkovo42_etrs89():
     """gie_self_tests.cpp:677-755: per-point Helmert selection.
 
@@ -85,7 +81,7 @@ def test_proj_create_crs_to_crs_pulkovo42_etrs89():
     assert x / D == pytest.approx(19.998187811, abs=1e-9)
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_proj_create_crs_to_crs_outside_area_of_use():
     """gie_self_tests.cpp:757-777 (#1329): NTF → NTF (Paris) at a point
     outside every candidate's area of use still applies the ballpark

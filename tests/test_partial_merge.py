@@ -26,10 +26,10 @@ MERGED = {
     "join_orders_customer": ("orders", "customer"), "distinct_brands": ("part",),
     "events_windows": ("events",), "source_profile": ("documents",),
 }
-# queries that collect a stream on the driver before their last step
+# queries that collect a stream on the driver, before or as their last step
 COLLECTED = ("ann_topk", "simhash_neardup", "kmeans_embed", "knn_anchors",
              "decontaminate", "tfidf_top", "inverted_index", "join_orders_customer",
-             "ngram_freq", "top_orders")
+             "ngram_freq", "top_orders", "knn_join", "embed_neardup")
 # queries that sort, through group_apply only, on a key that grows with the corpus
 SORTED = ("sampling", "ngram_freq", "inverted_index", "tfidf_top", "domain_stats")
 EVENT_TYPES = np.array(["signup", "purchase", "view", "click", "error"])

@@ -19,9 +19,7 @@ from rayproj.core.factory import create_operation
 from rayproj.core.op import FWD, INV, Coords
 from rayproj.state import projdb
 
-pytestmark = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG SQL scripts not available"
-)
+pytestmark = pytest.mark.requires_projdb
 
 
 def _op(code, strip_towgs=False):

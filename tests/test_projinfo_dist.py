@@ -22,8 +22,7 @@ import pytest
 from rayproj import cli
 from rayproj.state import projdb
 
-pytestmark = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG sql scripts not available")
+pytestmark = pytest.mark.requires_projdb
 
 DIST = "/root/reference/test/cli/testprojinfo_out.dist"
 

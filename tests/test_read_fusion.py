@@ -116,3 +116,13 @@ def test_sharded_table_reads_one_fused_task_per_file(n_files, ray_session, sf_di
     q.QUERIES["tile_stats"](str(tmp_path))
     assert len(plans) == 1 and FUSED.fullmatch(plans[0][1]), plans
 
+
+
+def test_kmeans_embed_runs_one_execution_per_pass(ray_session, sf_dir, monkeypatch):
+    """The seed centroids are read on the driver, so ``kmeans_embed``
+    runs one fused execution per Lloyd iteration and one for the final
+    assignment, and none to find its seeds."""
+    plans = _record_plans(monkeypatch)
+    q.QUERIES["kmeans_embed"](sf_dir).to_pandas()
+    assert len(plans) == 3, plans
+    assert all(len(p) == 2 and FUSED.fullmatch(p[1]) for p in plans), plans

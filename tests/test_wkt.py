@@ -7,10 +7,6 @@ import pytest
 from rayproj.core.factory import create_operation
 from rayproj.core.op import FWD, Coords
 from rayproj.core.wkt import pretty, to_wkt2
-from rayproj.state import projdb
-
-needs_registry = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG SQL scripts not available")
 
 
 def test_geogcrs_wgs84_plain():
@@ -152,7 +148,7 @@ def test_from_wkt1_gdal_style():
     assert math.isclose(y1, y2, abs_tol=1e-6)
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_cli_accepts_wkt(capsys):
     from rayproj import cli
 
@@ -604,7 +600,7 @@ COMPD_CS_WGS84_EGM96 = (
     'UNIT["metre",1],AXIS["Gravity-related height",UP]]]')
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_vert_cs_import_and_proj4():
     """VERT_CS WKT1 import builds a vertical CRS whose PROJ export is
     the bare vertical unit (reference crs.cpp
@@ -620,7 +616,7 @@ def test_vert_cs_import_and_proj4():
     assert dbcrs.to_proj4(crs) == "+vunits=m +no_defs +type=crs"
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_vertcrs_wkt2_import_ft_unit():
     """WKT2 VERTCRS in US survey feet exports +vunits=us-ft."""
     from rayproj.state import dbcrs, wktcrs
@@ -637,7 +633,7 @@ def test_vertcrs_wkt2_import_ft_unit():
     assert dbcrs.to_proj4(crs) == "+vunits=us-ft +no_defs +type=crs"
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_compd_cs_import_and_proj4():
     """COMPD_CS concatenates the component PROJ exports (reference
     crs.cpp CompoundCRS::_exportToPROJString)."""
@@ -653,7 +649,7 @@ def test_compd_cs_import_and_proj4():
         "+proj=longlat +datum=WGS84 +vunits=m +no_defs +type=crs"
 
 
-@needs_registry
+@pytest.mark.requires_projdb
 def test_projinfo_cli_vertical_and_compound(capsys):
     from rayproj import cli
 

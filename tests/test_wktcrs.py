@@ -9,12 +9,10 @@ googletest expectation.
 
 import pytest
 
-from rayproj.state import dbcrs, projdb, wktcrs
+from rayproj.state import dbcrs, wktcrs
 
 # every import resolves datums/units/methods through the EPSG registry
-pytestmark = pytest.mark.skipif(
-    not projdb.available(), reason="EPSG SQL scripts not available"
-)
+pytestmark = pytest.mark.requires_projdb
 
 
 def p4(wkt: str) -> str:
