@@ -21,6 +21,8 @@ the kernels actually compute.
 
 from __future__ import annotations
 
+import math
+
 from .constants import DEG_TO_RAD, RAD_TO_DEG
 
 # proj name -> (EPSG method name, [(wkt param name, source attr/param)])
@@ -1398,16 +1400,32 @@ def _pj_unit_factor(unit, kind: str) -> float:
         if unit == "arc-second":
             return 1.0 / 3600.0
         raise ValueError(f"PROJJSON: unknown unit name {unit!r}")
-    factor = float(unit.get("conversion_factor", 1.0))
+    factor = float(_pj_obj(unit, "unit").get("conversion_factor", 1.0))
     if kind == "angle":
         return factor * RAD_TO_DEG  # conversion_factor is to radians
     return factor  # lengths: factor is to metres
 
 
+def _pj_obj(v, what: str) -> dict:
+    """``v`` itself when it is a JSON object, else a clean ValueError (a
+    malformed document must not surface as an AttributeError)."""
+    if not isinstance(v, dict):
+        raise ValueError(f"PROJJSON: {what} is not an object: {v!r}")
+    return v
+
+
+def _pj_finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"PROJJSON: {what} is not finite: {x!r}")
+    return x
+
+
 def _pj_value(v, kind: str) -> float:
     if isinstance(v, dict):
-        return float(v["value"]) * _pj_unit_factor(v.get("unit"), kind)
-    return float(v)
+        x = float(v["value"]) * _pj_unit_factor(v.get("unit"), kind)
+    else:
+        x = float(v)
+    return _pj_finite(x, f"{kind} value")
 
 
 def _ellps_tokens_ab(a: float, rf: float, b: float | None = None) -> list[str]:
@@ -1425,9 +1443,11 @@ def _ellps_tokens_ab(a: float, rf: float, b: float | None = None) -> list[str]:
 
 
 def _pj_datum_tokens(crs: dict) -> list[str]:
+    crs = _pj_obj(crs, "CRS")
     datum = crs.get("datum") or crs.get("datum_ensemble")
     if datum is None:
         return []
+    datum = _pj_obj(datum, "datum")
     dname = datum.get("name", "")
     for short, full in _DATUM_NAMES.items():
         if dname == full:
@@ -1435,10 +1455,12 @@ def _pj_datum_tokens(crs: dict) -> list[str]:
     ell = datum.get("ellipsoid")
     toks: list[str] = []
     if ell is not None:
+        ell = _pj_obj(ell, "ellipsoid")
         a = _pj_value(ell.get("semi_major_axis", ell.get("radius", 0.0)), "length")
         b = None
         if "inverse_flattening" in ell:
-            rf = float(ell["inverse_flattening"])
+            rf = _pj_finite(float(ell["inverse_flattening"]),
+                            "inverse_flattening")
         elif "semi_minor_axis" in ell:
             b = _pj_value(ell["semi_minor_axis"], "length")
             rf = 0.0
@@ -1447,7 +1469,7 @@ def _pj_datum_tokens(crs: dict) -> list[str]:
         toks.extend(_ellps_tokens_ab(a, rf, b))
     pm = crs.get("prime_meridian") or datum.get("prime_meridian")
     if pm is not None:
-        deg = _pj_value(pm.get("longitude", 0.0), "angle")
+        deg = _pj_value(_pj_obj(pm, "prime_meridian").get("longitude", 0.0), "angle")
         if deg != 0.0:
             name = _pm_wellknown_name(deg)
             toks.append(f"+pm={name}" if name else f"+pm={_num(round(deg, 12))}")
@@ -1506,12 +1528,16 @@ def _pj_bound_tokens(crs: dict) -> list[str]:
     src = crs.get("source_crs")
     if src is None:
         raise ValueError("PROJJSON: BoundCRS without source_crs")
-    toks = _pj_crs_tokens(src)
+    toks = _pj_crs_tokens(_pj_obj(src, "source_crs"))
     xf = crs.get("transformation")
     if xf is not None:
         # abridged Helmert values are used verbatim (m / arcsec / ppm —
         # the +towgs84 convention), same as the WKT BOUNDCRS path
-        vals = [float(p.get("value", 0.0)) for p in xf.get("parameters", [])]
+        params = _pj_obj(xf, "transformation").get("parameters", [])
+        if not isinstance(params, list):
+            raise ValueError("PROJJSON: transformation parameters is not a list")
+        vals = [_pj_value(_pj_obj(p, "parameter").get("value", 0.0), "length")
+                for p in params]
         if vals:
             toks = [t for t in toks if not t.startswith("+towgs84=")]
             toks.append("+towgs84=" + ",".join(_num(v) for v in vals[:7]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rayproj.core.dms import dms_to_rad
@@ -201,6 +201,13 @@ _JSON_DOCS = st.recursive(
 
 @FUZZ
 @given(_JSON_DOCS)
+# shapes hypothesis has found: a non-object datum, a non-finite
+# ellipsoid axis (int(inf) in the number formatter), a non-object base_crs
+@example({"type": "GeographicCRS", "datum": "ProjectedCRS"})
+@example({"type": "GeographicCRS",
+          "datum": {"ellipsoid": {"semi_major_axis": float("inf")}}})
+@example({"type": "ProjectedCRS", "base_crs": 4326,
+          "conversion": {"method": {"name": "Mercator"}}})
 def test_from_projjson_fails_cleanly(doc):
     try:
         out = from_projjson(doc)
