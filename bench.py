@@ -225,10 +225,10 @@ def run_queries() -> dict:
     from rayproj.pipelines import queries as q
 
     fns = {
-        "merc_fwd": q.q_merc_fwd, "datum_hop_cs2cs": q.q_datum_hop,
+        "projections_fwd": q.QUERIES["projections_fwd"], "datum_hop_cs2cs": q.q_datum_hop,
         "grid_shift": q.QUERIES["grid_shift"], "tile_stats": q.q_tile_stats,
         "spatial_assign": q.QUERIES["spatial_assign"], "knn_anchors": q.q_knn,
-        "agg_lineitem": q.q_agg_lineitem, "dedup_exact": q.q_dedup_exact,
+        "agg_lineitem": q.q_agg_lineitem, "dedup_surface": q.QUERIES["dedup_surface"],
         "ann_cosine": q.q_ann_cosine, "events_sessions": q.q_events_sessions,
         "minhash_lsh": q.q_minhash_lsh, "pages_pipeline": q.q_pages_pipeline,
     }

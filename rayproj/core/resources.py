@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 
 from .errors import ERR_NO_ARGS, ProjError
 
@@ -18,6 +19,26 @@ _extra_paths: list[str] = []
 _init_cache: dict[tuple[str, str], list[tuple[str, str | None]]] = {}
 # in-memory catalogs (e.g. a gie file's own <code> … <> sections)
 _catalog_overrides: dict[str, dict[str, list[tuple[str, str | None]]]] = {}
+
+
+def publish(path: str, write) -> None:
+    """Atomically publish the file ``path``: ``write(tmp)`` fills a
+    temp file in ``path``'s directory, which then replaces ``path`` in
+    one rename. If ``write`` or the rename raises, the temp file is
+    removed and ``path`` is left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    os.close(fd)
+    os.unlink(tmp)  # ``write`` creates it, with the mode the umask gives, not 0600
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def set_catalog_override(fname: str, mapping: dict[str, list[tuple[str, str | None]]]) -> None:

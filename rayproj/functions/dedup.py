@@ -434,9 +434,11 @@ def star_edges(ds, key_col: str, id_col: str):
     return group_apply(ds, key_col, stars)
 
 
-def connected_components_ds(edges, max_rounds: int = 50):
+def connected_components_ds(edges, nodes, max_rounds: int = 50):
     """Distributed connected components over an edge Dataset
-    (columns ``a``, ``b``) → Dataset of (node, label=component min).
+    (columns ``a``, ``b``) and a node Dataset (column ``node``, every
+    node of the graph) → Dataset of (node, label=component min). A
+    node with no edge is its own component: its label is itself.
 
     Alternating large-star / small-star rounds (Kiveris et al.,
     "Connected Components in MapReduce and Beyond", SoCC'14): each
@@ -509,8 +511,8 @@ def connected_components_ds(edges, max_rounds: int = 50):
         prev = cur
 
     # final labels: every remaining edge is (node, root); roots label
-    # themselves, and every node of the ORIGINAL edge list self-labels
-    # so isolated/self-loop nodes survive as singletons
+    # themselves, and every node self-labels, so a node with no edge
+    # survives as a singleton
     def labels(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -520,15 +522,15 @@ def connected_components_ds(edges, max_rounds: int = 50):
         )
 
     def self_labels(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = np.unique(np.concatenate([df["a"].to_numpy(), df["b"].to_numpy()]))
-        return pd.DataFrame({"node": nodes, "label": nodes})
+        ids = df["node"].to_numpy(np.int64)
+        return pd.DataFrame({"node": ids, "label": ids})
 
     def min_label(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("node", sort=False, as_index=False)["label"].min()
 
     lab = ds.map_batches(labels, batch_format="pandas")
-    orig = edges.map_batches(self_labels, batch_format="pandas")
-    return group_apply(lab.union(orig), "node", min_label)
+    own = nodes.map_batches(self_labels, batch_format="pandas")
+    return group_apply(lab.union(own), "node", min_label)
 
 
 def connected_components_min_label(pairs: pd.DataFrame, max_rounds: int = 50) -> pd.DataFrame:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
 from ..core.constants import DEG_TO_RAD
+from ..core.resources import publish
 from ..state.grids import SEC_TO_RAD
 
 FIX_DIR = "/tmp/rayproj_fixtures"
@@ -111,17 +111,12 @@ def _write_atomic(path: str, data: bytes) -> None:
         except OSError:
             pass
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "wb") as f:
+
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as f:
             f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+
+    publish(path, write)
 
 
 def ensure_fixtures() -> None:

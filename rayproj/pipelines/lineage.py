@@ -20,6 +20,8 @@ import time
 from collections import deque
 from itertools import accumulate
 
+from ..core.resources import publish
+
 
 class LineageWriter:
     def __init__(self, out_dir: str, pipeline_version: str = "1"):
@@ -77,10 +79,12 @@ class LineageWriter:
             "digest": digest,
             "metrics": metrics,
         }
-        tmp_rec = self.record_path(part) + ".tmp"
-        with open(tmp_rec, "w") as f:
-            json.dump(rec, f)
-        os.replace(tmp_rec, self.record_path(part))
+
+        def write(tmp: str) -> None:
+            with open(tmp, "w") as f:
+                json.dump(rec, f)
+
+        publish(self.record_path(part), write)
         return rec
 
 

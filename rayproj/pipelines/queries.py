@@ -116,21 +116,6 @@ def q_geolocate(sf_dir: str):
 SQL_GEOLOCATE = f"SELECT doc_id, lon, lat FROM ({GEOLOC_SQL}) ORDER BY doc_id"
 
 
-def _projected_query(sf_dir: str, projstring: str):
-    """Shared shape: geolocate → engine reprojection → x/y at 1 dm."""
-    op = create_operation(projstring)
-
-    def kernel(ids, lon, lat):
-        coo = _fwd(op, lon, lat)
-        return {"doc_id": ids, "x": np.round(coo.x, 1), "y": np.round(coo.y, 1)}
-
-    return _per_doc(sf_dir, kernel)
-
-
-def q_merc_fwd(sf_dir: str):
-    return _projected_query(sf_dir, "+proj=merc +ellps=GRS80")
-
-
 SQL_MERC = f"""
 WITH g AS ({GEOLOC_SQL}),
 c AS (SELECT 6378137.0 AS a, 1.0/298.257222101 AS f),
@@ -141,20 +126,6 @@ SELECT g.doc_id,
         / pow((1 - ecc*sin(radians(g.lat))) / (1 + ecc*sin(radians(g.lat))), ecc/2) ), 1) AS y
 FROM g, e ORDER BY doc_id
 """
-
-
-def q_lcc_fwd(sf_dir: str):
-    """Lambert Conformal Conic 2SP (RGF93 / Lambert-93 parameters,
-    EPSG:2154 — the registry resolution is pinned bit-equal in
-    tests/test_projdb.py; the proj-string here keeps the driver oracle
-    independent of the proj.db build). Oracle = the full ellipsoidal
-    2SP chain (Snyder 15-1..15-10 / ref src/projections/lcc.cpp) in
-    ANSI SQL."""
-    return _projected_query(
-        sf_dir,
-        "+proj=lcc +lat_0=46.5 +lon_0=3 +lat_1=49 +lat_2=44 "
-        "+x_0=700000 +y_0=6600000 +ellps=GRS80",
-    )
 
 
 SQL_LCC = f"""
@@ -302,17 +273,6 @@ FROM fac4 ORDER BY doc_id
 """
 
 
-def q_aea_fwd(sf_dir: str):
-    """Albers Equal Area (EPSG:5070 CONUS parameters). Oracle = the
-    ellipsoidal chain Snyder 14-1..14-12 / ref src/projections/aea.cpp
-    in ANSI SQL."""
-    return _projected_query(
-        sf_dir,
-        "+proj=aea +lat_0=23 +lon_0=-96 +lat_1=29.5 +lat_2=45.5 "
-        "+x_0=0 +y_0=0 +ellps=GRS80",
-    )
-
-
 SQL_AEA = f"""
 WITH g AS ({GEOLOC_SQL}),
 c AS (SELECT 6378137.0 AS a, 1.0/298.257222101 AS f,
@@ -346,24 +306,6 @@ xy AS (SELECT doc_id,
  FROM qp)
 SELECT doc_id, ROUND(x, 1) AS x, ROUND(y, 1) AS y FROM xy ORDER BY doc_id
 """
-
-
-def q_stere_fwd(sf_dir: str):
-    """Polar Stereographic variant B (EPSG:3413 NSIDC Sea Ice North
-    parameters), northern points only — the projection's area of use.
-    Oracle = ellipsoidal polar chain Snyder 21-33..21-34 / ref
-    src/projections/stere.cpp in ANSI SQL."""
-    op = create_operation(
-        "+proj=stere +lat_0=90 +lat_ts=70 +lon_0=-45 +x_0=0 +y_0=0 "
-        "+ellps=GRS80"
-    )
-
-    def kernel(ids, lon, lat):
-        m = lat > 10.0
-        coo = _fwd(op, lon[m], lat[m])
-        return {"doc_id": ids[m], "x": np.round(coo.x, 1), "y": np.round(coo.y, 1)}
-
-    return _per_doc(sf_dir, kernel)
 
 
 SQL_STERE = f"""
@@ -418,10 +360,6 @@ FROM ({GEOLOC_SQL}) WHERE lat > -80 AND lat < 84 AND lon > -42 AND lon < 48 ORDE
 """
 
 
-def q_webmerc_fwd(sf_dir: str):
-    return _projected_query(sf_dir, "+proj=webmerc +ellps=WGS84")
-
-
 SQL_WEBMERC = f"""
 WITH g AS ({GEOLOC_SQL})
 SELECT doc_id,
@@ -429,19 +367,6 @@ SELECT doc_id,
   ROUND(6378137.0 * ln(tan(pi()/4 + radians(lat)/2)), 1) AS y
 FROM g ORDER BY doc_id
 """
-
-
-def q_utm_fwd(sf_dir: str):
-    """UTM zone 31 — full Poder/Engsager oracle: the SQL twin evaluates
-    the published 6th-order series by direct summation (conformal
-    latitude, complex sin series expanded to real sinh/cosh pairs, GRS80
-    coefficients inlined as literals of the published polynomials in n).
-    Out-of-domain points (|Ce| > 2.6234, poisoned to inf by the engine)
-    are filtered on both sides so the compare sees finite rows only."""
-    ds = _projected_query(sf_dir, "+proj=utm +zone=31 +ellps=GRS80")
-    return ds.map_batches(
-        lambda df: df[np.isfinite(df["x"].to_numpy())], batch_format="pandas"
-    )
 
 
 SQL_UTM = f"""
@@ -1048,30 +973,6 @@ SQL_DISTINCT_BRANDS = "SELECT p_brand, COUNT(*) AS n_parts FROM part GROUP BY 1 
 # ---------------------------------------------------------------------------
 
 
-def q_dedup_exact(sf_dir: str):
-    """Exact dedup: group on content md5, keep min doc_id. Distinct-hash
-    count grows with the corpus, so the aggregate goes through
-    functions/dedup.group_apply (one sort, one C-speed pandas pass per
-    block), not a per-group callback."""
-
-    def hashes(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"text_md5": textfn.md5_hex(batch["text"]), "doc_id": batch["doc_id"]}
-        )
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        hashes, batch_format="pandas"
-    )
-
-    def collapse(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("text_md5", sort=False)["doc_id"]
-        out = g.min().to_frame("keep_doc_id")
-        out["n_dups"] = g.size()
-        return out.reset_index()
-
-    return group_apply(ds, "text_md5", collapse)
-
-
 SQL_DEDUP_EXACT = """
 SELECT md5(text) AS text_md5, MIN(doc_id) AS keep_doc_id, COUNT(*) AS n_dups
 FROM documents GROUP BY 1 ORDER BY 1
@@ -1141,9 +1042,12 @@ def q_dedup_clusters(sf_dir: str):
     prefix buckets — their union chains across relations, so real
     transitive closure is required), resolved by the distributed
     large-star/small-star connected-components
-    (functions/dedup.connected_components_ds, Kiveris et al. SoCC'14).
-    The DuckDB oracle computes the same fixpoint with a recursive CTE
-    — a full rows+hash check of distributed CC."""
+    (functions/dedup.connected_components_ds, Kiveris et al. SoCC'14)
+    over every doc id, so a doc with no duplicate is its own cluster.
+    The documents are read once: the keyed rows are materialized, and
+    both edge sets and the node set come from them. The DuckDB oracle
+    computes the same fixpoint with a recursive CTE — a full rows+hash
+    check of distributed CC."""
     from ..functions.dedup import connected_components_ds, star_edges
 
     def keys(df: pd.DataFrame) -> pd.DataFrame:
@@ -1158,17 +1062,12 @@ def q_dedup_clusters(sf_dir: str):
 
     keyed = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         keys, batch_format="pandas"
-    )
+    ).materialize()
     e1 = star_edges(keyed.select_columns(["text_md5", "doc_id"]), "text_md5", "doc_id")
     e2 = star_edges(keyed.select_columns(["prefix", "doc_id"]), "prefix", "doc_id")
-
-    def self_edges(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(np.int64)
-        return pd.DataFrame({"a": ids, "b": ids})
-
-    # self-loops keep singleton docs in the output
-    e0 = keyed.map_batches(self_edges, batch_format="pandas")
-    return connected_components_ds(e0.union(e1).union(e2))
+    nodes = keyed.map_batches(lambda df: pd.DataFrame({"node": df["doc_id"]}),
+                              batch_format="pandas")
+    return connected_components_ds(e1.union(e2), nodes)
 
 
 SQL_DEDUP_CLUSTERS = """
@@ -1334,51 +1233,6 @@ SELECT documents.doc_id, COALESCE(n_bigrams, 0) AS n_bigrams,
        COALESCE(top_bigram_n, 0) AS top_bigram_n
 FROM documents LEFT JOIN per USING (doc_id) ORDER BY doc_id
 """
-
-
-def q_dedup_norm(sf_dir: str):
-    """Normalization-aware exact dedup (the C4/RefinedWeb first pass:
-    lowercase + whitespace-collapse before hashing). The corpus is
-    already lowercase/single-spaced, so the input is AUGMENTED with
-    deterministic planted variants (doc_id < 25 -> doc_id + 300000,
-    uppercased with doubled spaces) that normalize back to their
-    originals — the same augmentation is in the SQL twin, making the
-    normalizer the thing under test (25 collapsed groups).
-
-    Scale shape: identical to dedup_exact — only (norm_md5, doc_id)
-    shuffles, collapse via group_apply."""
-
-    def augment(df: pd.DataFrame) -> pd.DataFrame:
-        var = df[df["doc_id"] < 25].copy()
-        var["doc_id"] = var["doc_id"] + 300000
-        var["text"] = var["text"].fillna("").str.upper().str.replace(
-            " ", "  ", regex=False
-        )
-        return pd.concat([df, var], ignore_index=True)
-
-    def norm_hash(df: pd.DataFrame) -> pd.DataFrame:
-        norm = (
-            df["text"].fillna("").str.lower()
-            .str.replace(r"[ ]+", " ", regex=True)
-            .str.strip(" ")
-        )
-        return pd.DataFrame(
-            {"norm_md5": textfn.md5_hex(norm), "doc_id": df["doc_id"]}
-        )
-
-    ds = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(augment, batch_format="pandas")
-        .map_batches(norm_hash, batch_format="pandas")
-    )
-
-    def collapse(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("norm_md5", sort=False)["doc_id"]
-        out = g.min().to_frame("keep_doc_id")
-        out["n_dups"] = g.size()
-        return out.reset_index()
-
-    return group_apply(ds, "norm_md5", collapse)
 
 
 SQL_DEDUP_NORM = """
@@ -2363,7 +2217,7 @@ FROM r ORDER BY doc_id
 
 
 def _purchases_and_signups(sf_dir: str):
-    """The two join sides of the event-join queries, pruned at the read:
+    """The two join sides of ``events_joins``, pruned at the read:
     (event_id, ts, user_id, event_type) rows of 'purchase' and 'signup'
     events only."""
 
@@ -2396,42 +2250,6 @@ def _probe(signups, user, ts, side: str):
     (user, ts): one record-array search for every user of a block."""
     return np.searchsorted(np.rec.fromarrays(signups[1:]),
                            np.rec.fromarrays([user, ts]), side=side)
-
-
-def q_events_asof(sf_dir: str):
-    """Distributed AS-OF JOIN (a custom operator Ray Data lacks):
-    each 'purchase' event is matched to the same user's most recent
-    'signup' at or before its timestamp. Plan: prune both sides at
-    the read (columns + row filter), group_apply on user_id, then per
-    block one (user, ts) record-array searchsorted of the purchases
-    into the signups sorted by (user, ts, event_id), masking user
-    mismatches — the partitioned-merge as-of contract over every user
-    of the block at once. Partitioning assumption: one user's history
-    fits in a block (keys grow with the corpus but per-key rows stay
-    bounded); a hot key would take a (key, time-bucket) split with
-    boundary carry-forward, exactly like events_sessions. Oracle:
-    DuckDB's native ASOF LEFT JOIN."""
-    def asof(df: pd.DataFrame) -> pd.DataFrame:
-        (pe, pu, pt), right = _join_sides(df)
-        se, su, st = right
-        pos = _probe(right, pu, pt, "right") - 1
-        matched = pos >= 0
-        matched[matched] = su[pos[matched]] == pu[matched]
-        sid = np.full(len(pe), -1, dtype=np.int64)
-        lag = np.full(len(pe), -1, dtype=np.int64)
-        sid[matched] = se[pos[matched]]
-        lag[matched] = pt[matched] - st[pos[matched]]
-        return pd.DataFrame(
-            {
-                "event_id": pe,
-                "user_id": pu,
-                "ts_us": pt,
-                "signup_event_id": sid,
-                "asof_lag_us": lag,
-            }
-        )
-
-    return group_apply(_purchases_and_signups(sf_dir), "user_id", asof)
 
 
 def q_html_extract(sf_dir: str):
@@ -2655,34 +2473,6 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-def q_events_window_join(sf_dir: str):
-    """Two-sided stream-stream WINDOW JOIN: each purchase matches ALL
-    of the same user's signups within ±12 h. Same partitioned-merge
-    contract as the as-of join (group_apply on user, then two (user,
-    ts) searchsorted bounds per probe — O(log n) per event, output
-    bounded by the true match count; the match rows are expanded with
-    repeat/cumsum arithmetic). Oracle: DuckDB non-equi join."""
-    _WJ = 43_200_000_000  # ±12 h in µs
-
-    def wjoin(df: pd.DataFrame) -> pd.DataFrame:
-        (pe, pu, pt), right = _join_sides(df)
-        se, _, st = right
-        lo = _probe(right, pu, pt - _WJ, "left")
-        counts = _probe(right, pu, pt + _WJ, "right") - lo
-        l_idx = np.repeat(np.arange(len(pe)), counts)
-        r_idx = np.arange(len(l_idx)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        return pd.DataFrame(
-            {
-                "event_id": pe[l_idx],
-                "user_id": pu[l_idx],
-                "signup_event_id": se[r_idx],
-                "lag_us": pt[l_idx] - st[r_idx],
-            }
-        )
-
-    return group_apply(_purchases_and_signups(sf_dir), "user_id", wjoin)
-
-
 SQL_EVENTS_WINDOW_JOIN = """
 SELECT p.event_id, p.user_id, s.event_id AS signup_event_id,
        epoch_us(p.ts) - epoch_us(s.ts) AS lag_us
@@ -2773,82 +2563,11 @@ FROM s ORDER BY doc_id
 """
 
 
-def q_hash_sample(sf_dir: str):
-    """Deterministic ~5% content-hash sample — the reproducible
-    alternative to random_sample() at 100 TB (same rows on every
-    run/restart, no coordination): keep docs whose md5 32-bit prefix
-    falls under the rate threshold. Map-only."""
-    THRESH = 214_748_364  # floor(0.05 * 2^32)
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        # 32-bit md5 prefix = top half of the 64-bit fingerprint
-        pref = (textfn.fingerprint64(batch["text"]) >> np.uint64(32)).astype(
-            np.int64
-        )
-        keep = pref < THRESH
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(np.int64)[keep],
-                "source": batch["source"].to_numpy()[keep],
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text", "source"]).map_batches(
-        fn, batch_format="pandas"
-    )
-
-
 SQL_HASH_SAMPLE = """
 SELECT doc_id, source FROM documents
 WHERE CAST(('0x' || substr(md5(text), 1, 8)) AS UBIGINT) < 214748364
 ORDER BY doc_id
 """
-
-
-def q_stratified_sample(sf_dir: str):
-    """Per-language stratified sample: deterministic 10% quota per
-    stratum, selected by content-hash order (fp64, doc_id) — the
-    reproducible per-stratum curation op (language rebalancing) at
-    100 TB. Two passes: (1) per-lang counts, one partial row per lang
-    per block (at most blocks × 5 langs) summed by ``merge_partials``
-    and broadcast to the workers as quotas, (2) per-batch partial
-    top-quota per stratum (bounded: <= quota rows per lang per batch)
-    then the same top-quota cut as the final trim, through group_apply
-    on lang; its input is bounded by quota x n_blocks, never the
-    corpus."""
-    import math
-
-    RATE = 0.1
-    counts = merge_partials(
-        _read(sf_dir, "documents", ["lang"]).map_batches(
-            lambda t: t.group_by("lang").aggregate([([], "count_all")]),
-            batch_format="pyarrow"),
-        {"lang": object}, {"n": ("count_all", "sum")})
-    quota = {lang: math.ceil(RATE * n) for lang, n in zip(counts["lang"], counts["n"])}
-    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-
-    def top_quota(d: pd.DataFrame) -> pd.DataFrame:
-        # rank within each lang run of the (lang, fp, doc_id) order
-        d = d.sort_values(["lang", "fp", "doc_id"], kind="mergesort")
-        starts, seg = runs(d["lang"].to_numpy())
-        rk = np.arange(len(d)) - starts[seg]
-        q = d["lang"].map(quota).fillna(0).to_numpy(np.int64)
-        return d[rk < q]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return top_quota(pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(np.int64),
-                "lang": df["lang"].to_numpy(),
-                "fp": textfn.fingerprint64(df["text"]),
-            }
-        ))
-
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        return top_quota(df)[["doc_id", "lang"]]
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    return group_apply(partials, "lang", trim)
 
 
 SQL_STRATIFIED_SAMPLE = """
@@ -3388,48 +3107,76 @@ ORDER BY a.doc_id
 
 
 def _tag_union(tag: str, members):
-    """Tag-union of query results on one schema. ``members`` is a list
-    of ``(value, ds, {out_col: member_col_or_constant})``: each member
+    """Tag-union of driver frames on one schema. ``members`` is a list
+    of ``(value, df, {out_col: member_col_or_constant})``: each member
     row gets ``tag = value`` and the mapped columns, where a string
-    names a member column and anything else is a per-row constant. One
-    lazy ``Dataset.union`` — a block concat, no shuffle; members stream
-    independently. Members that are driver frames (``merge_partials``
-    or ``_top_grams`` results) are retagged on the driver and
-    concatenated into a frame, which keeps the schema on zero rows
-    where an empty Dataset loses it."""
+    names a member column and anything else is a per-row constant. The
+    members are retagged as Arrow tables and concatenated into one
+    frame, which keeps the schema on zero rows."""
 
-    def retag(value, cols):
-        def fn(t: pa.Table) -> pa.Table:
-            out = {tag: pa.repeat(value, len(t))}
-            for name, src in cols.items():
-                out[name] = t.column(src) if isinstance(src, str) else pa.repeat(src, len(t))
-            return pa.table(out)
+    def retag(value, df, cols):
+        t = pa.Table.from_pandas(df, preserve_index=False)
+        out = {tag: pa.repeat(value, len(t))}
+        for name, src in cols.items():
+            out[name] = t.column(src) if isinstance(src, str) else pa.repeat(src, len(t))
+        return pa.table(out)
 
-        return fn
+    return pa.concat_tables([retag(*m) for m in members],
+                            promote_options="default").to_pandas()
 
-    if all(isinstance(ds, pd.DataFrame) for _, ds, _ in members):
-        return pa.concat_tables(
-            [retag(value, cols)(pa.Table.from_pandas(ds, preserve_index=False))
-             for value, ds, cols in members], promote_options="default").to_pandas()
-    parts = [ds.map_batches(retag(value, cols), batch_format="pyarrow")
-             for value, ds, cols in members]
-    return parts[0].union(*parts[1:])
+
+PROJECTIONS_FWD = (
+    ("merc", "+proj=merc +ellps=GRS80"),
+    ("webmerc", "+proj=webmerc +ellps=WGS84"),
+    # UTM zone 31: the SQL twin evaluates the published 6th-order
+    # Poder/Engsager series by direct summation (conformal latitude,
+    # complex sin series expanded to real sinh/cosh pairs, GRS80
+    # coefficients inlined as literals of the published polynomials in
+    # n). Out-of-domain points (|Ce| > 2.6234, poisoned to inf by the
+    # engine) are filtered on both sides, so the compare sees finite
+    # rows only.
+    ("utm", "+proj=utm +zone=31 +ellps=GRS80"),
+    # Lambert Conformal Conic 2SP with the RGF93 / Lambert-93 parameters
+    # of EPSG:2154 (the registry resolution is pinned bit-equal in
+    # tests/test_projdb.py; the proj-string keeps the oracle independent
+    # of the proj.db build). The SQL twin is the full ellipsoidal 2SP
+    # chain, Snyder 15-1..15-10 / ref src/projections/lcc.cpp.
+    ("lcc", "+proj=lcc +lat_0=46.5 +lon_0=3 +lat_1=49 +lat_2=44 "
+            "+x_0=700000 +y_0=6600000 +ellps=GRS80"),
+    # Albers Equal Area with the EPSG:5070 CONUS parameters. The SQL
+    # twin is the ellipsoidal chain Snyder 14-1..14-12 / ref
+    # src/projections/aea.cpp.
+    ("aea", "+proj=aea +lat_0=23 +lon_0=-96 +lat_1=29.5 +lat_2=45.5 "
+            "+x_0=0 +y_0=0 +ellps=GRS80"),
+    # Polar Stereographic variant B with the EPSG:3413 NSIDC Sea Ice
+    # North parameters, on the northern points only (lat > 10, the
+    # projection's area of use). The SQL twin is the ellipsoidal polar
+    # chain Snyder 21-33..21-34 / ref src/projections/stere.cpp.
+    ("stere", "+proj=stere +lat_0=90 +lat_ts=70 +lon_0=-45 +x_0=0 +y_0=0 "
+              "+ellps=GRS80"),
+)
 
 
 def q_projections_fwd(sf_dir: str):
-    """All six driver-checked projection kernels as ONE tag-union —
-    each member keeps its own domain filter (stere lat>10, utm finite
-    easting), so the union carries exactly the per-projection row sets
-    the split queries verified."""
-    xy = {"doc_id": "doc_id", "x": "x", "y": "y"}
-    return _tag_union("proj", [
-        (name, q(sf_dir), xy)
-        for name, q in (
-            ("merc", q_merc_fwd), ("webmerc", q_webmerc_fwd),
-            ("utm", q_utm_fwd), ("lcc", q_lcc_fwd),
-            ("aea", q_aea_fwd), ("stere", q_stere_fwd),
-        )
-    ])
+    """The six driver-checked projections in one per-doc pass: each
+    batch is geolocated once and projected by every operation, built
+    once per call, into (proj, doc_id, x, y) rows at 1 dm. Each member
+    keeps its domain rule: ``stere`` projects ``lat > 10`` only, and
+    ``utm`` keeps finite eastings."""
+    ops = [(name, create_operation(s)) for name, s in PROJECTIONS_FWD]
+
+    def kernel(ids, lon, lat):
+        parts = []
+        for name, op in ops:
+            m = lat > 10.0 if name == "stere" else slice(None)
+            coo = _fwd(op, lon[m], lat[m])
+            keep = np.isfinite(coo.x) if name == "utm" else slice(None)
+            x = np.round(coo.x[keep], 1)
+            parts.append((np.full(len(x), name, dtype=object), ids[m][keep], x,
+                          np.round(coo.y[keep], 1)))
+        return {c: np.concatenate(v) for c, v in zip(("proj", "doc_id", "x", "y"), zip(*parts))}
+
+    return _per_doc(sf_dir, kernel)
 
 
 SQL_PROJECTIONS_FWD = "\nUNION ALL\n".join(
@@ -3570,13 +3317,64 @@ ORDER BY a.doc_id
 
 
 def q_sampling(sf_dir: str):
-    """hash_sample + stratified_sample tag-union: (method, doc_id,
-    strat) where strat is the sample's grouping value (source for the
-    content-hash sample, lang for the per-language quota sample)."""
-    return _tag_union("method", [
-        ("hash", q_hash_sample(sf_dir), {"doc_id": "doc_id", "strat": "source"}),
-        ("stratified", q_stratified_sample(sf_dir), {"doc_id": "doc_id", "strat": "lang"}),
-    ])
+    """Two reproducible samples of the documents as (method, doc_id,
+    strat) rows, where strat is the sample's grouping value. Both key
+    on the content fingerprint (``fingerprint64``, the first 8 bytes of
+    the md5), so the same rows come back on every run and restart with
+    no coordination, the alternative to ``random_sample()`` at 100 TB.
+
+    - ``hash``: a ~5% sample, the docs whose 32-bit md5 prefix falls
+      under the rate threshold; strat is the source.
+    - ``stratified``: a 10% quota per language (the per-stratum
+      curation op, language rebalancing), selected in (fp, doc_id)
+      order; strat is the lang.
+
+    Two passes. (1) Per-lang counts from a read of ``lang`` alone: one
+    partial row per lang per block (at most blocks × 5 langs), summed
+    by ``merge_partials`` and broadcast to the workers as quotas.
+    (2) One read of the documents and one map that computes each
+    fingerprint once and emits both members' rows: the hash sample,
+    and each block's top-quota rows per lang (at most quota rows per
+    lang per block). One group_apply on (method, strat) then applies
+    the same top-quota cut as the final trim, and passes the hash rows
+    through; its input is bounded by quota × blocks plus the sample."""
+    import math
+
+    RATE = 0.1
+    THRESH = 214_748_364  # floor(0.05 * 2^32)
+    counts = merge_partials(
+        _read(sf_dir, "documents", ["lang"]).map_batches(
+            lambda t: t.group_by("lang").aggregate([([], "count_all")]),
+            batch_format="pyarrow"),
+        {"lang": object}, {"n": ("count_all", "sum")})
+    quota = {lang: math.ceil(RATE * n) for lang, n in zip(counts["lang"], counts["n"])}
+
+    def top_quota(d: pd.DataFrame) -> pd.DataFrame:
+        # rank within each lang (strat) run of the (strat, fp, doc_id) order
+        d = d.sort_values(["strat", "fp", "doc_id"], kind="mergesort")
+        starts, seg = runs(d["strat"].to_numpy())
+        rk = np.arange(len(d)) - starts[seg]
+        q = d["strat"].map(quota).fillna(0).to_numpy(np.int64)
+        return d[rk < q]
+
+    def members(df: pd.DataFrame) -> pd.DataFrame:
+        fp = textfn.fingerprint64(df["text"])
+        ids = df["doc_id"].to_numpy(np.int64)
+        # 32-bit md5 prefix = top half of the 64-bit fingerprint
+        keep = (fp >> np.uint64(32)).astype(np.int64) < THRESH
+        hashed = pd.DataFrame({"method": "hash", "doc_id": ids[keep],
+                               "strat": df["source"].to_numpy()[keep], "fp": fp[keep]})
+        stratified = top_quota(pd.DataFrame({"method": "stratified", "doc_id": ids,
+                                             "strat": df["lang"].to_numpy(), "fp": fp}))
+        return pd.concat([hashed, stratified], ignore_index=True)
+
+    def trim(df: pd.DataFrame) -> pd.DataFrame:
+        s = df["method"].to_numpy() == "stratified"
+        return pd.concat([df[~s], top_quota(df[s])])[["method", "doc_id", "strat"]]
+
+    rows = _read(sf_dir, "documents", ["doc_id", "text", "source", "lang"]).map_batches(
+        members, batch_format="pandas")
+    return group_apply(rows, ["method", "strat"], trim)
 
 
 SQL_SAMPLING = f"""
@@ -3609,17 +3407,58 @@ FROM ({SQL_EVENTS_SLIDING_WINDOW})
 
 
 def q_events_joins(sf_dir: str):
-    """As-of join + +-12 h stream-stream window join tag-unioned on
-    (jkind, event_id, user_id, signup_event_id, lag_us, ts_us); window
-    rows carry ts_us = -1 (not part of that member's contract)."""
-    keys = {"event_id": "event_id", "user_id": "user_id",
-            "signup_event_id": "signup_event_id"}
-    return _tag_union("jkind", [
-        ("asof", q_events_asof(sf_dir),
-         {**keys, "lag_us": "asof_lag_us", "ts_us": "ts_us"}),
-        ("window", q_events_window_join(sf_dir),
-         {**keys, "lag_us": "lag_us", "ts_us": np.int64(-1)}),
-    ])
+    """Distributed AS-OF JOIN and ±12 h stream-stream WINDOW JOIN, two
+    operators Ray Data lacks, as (jkind, event_id, user_id,
+    signup_event_id, lag_us, ts_us) rows from one pass: both sides
+    pruned at the read (columns + row filter), one group_apply on
+    user_id, and per block one ``_join_sides`` that feeds both joins.
+
+    - ``asof``: each purchase matched to the same user's latest signup
+      at or before it, by one (user, ts) record-array searchsorted of
+      the purchases into the signups sorted by (user, ts, event_id),
+      user mismatches masked; no match gives signup_event_id = lag_us
+      = -1. Oracle: DuckDB's native ASOF LEFT JOIN.
+    - ``window``: each purchase matched to ALL of the same user's
+      signups within ±12 h, by two searchsorted bounds per probe
+      (O(log n) per event, output bounded by the true match count),
+      the match rows expanded with repeat/cumsum arithmetic. These
+      rows carry ts_us = -1 (not part of that member's contract).
+      Oracle: a DuckDB non-equi join.
+
+    Partitioning assumption: one user's history fits in a block (keys
+    grow with the corpus, but per-key rows stay bounded); a hot key
+    would take a (key, time-bucket) split with boundary carry-forward,
+    as in events_sessions."""
+    window_us = 43_200_000_000  # ±12 h
+
+    def joins(df: pd.DataFrame) -> pd.DataFrame:
+        (pe, pu, pt), right = _join_sides(df)
+        se, su, st = right
+        pos = _probe(right, pu, pt, "right") - 1
+        matched = pos >= 0
+        matched[matched] = su[pos[matched]] == pu[matched]
+        sid = np.full(len(pe), -1, dtype=np.int64)
+        lag = np.full(len(pe), -1, dtype=np.int64)
+        sid[matched] = se[pos[matched]]
+        lag[matched] = pt[matched] - st[pos[matched]]
+
+        lo = _probe(right, pu, pt - window_us, "left")
+        counts = _probe(right, pu, pt + window_us, "right") - lo
+        l_idx = np.repeat(np.arange(len(pe)), counts)
+        r_idx = np.arange(len(l_idx)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return pd.DataFrame(
+            {
+                "jkind": np.repeat(np.array(["asof", "window"], dtype=object),
+                                   [len(pe), len(l_idx)]),
+                "event_id": np.concatenate([pe, pe[l_idx]]),
+                "user_id": np.concatenate([pu, pu[l_idx]]),
+                "signup_event_id": np.concatenate([sid, se[r_idx]]),
+                "lag_us": np.concatenate([lag, pt[l_idx] - st[r_idx]]),
+                "ts_us": np.concatenate([pt, np.full(len(l_idx), -1, dtype=np.int64)]),
+            }
+        )
+
+    return group_apply(_purchases_and_signups(sf_dir), "user_id", joins)
 
 
 SQL_EVENTS_JOINS = f"""
@@ -3651,14 +3490,46 @@ SELECT 'bigram' AS kind, bigram AS gram, n FROM ({SQL_BIGRAM_STATS})
 
 
 def q_dedup_surface(sf_dir: str):
-    """Exact dedup + normalization-aware dedup tag-union on (method,
-    key_md5, keep_doc_id, n_dups) — both members keep the map-side
-    hash + group_apply collapse shape."""
-    kept = {"keep_doc_id": "keep_doc_id", "n_dups": "n_dups"}
-    return _tag_union("method", [
-        ("exact", q_dedup_exact(sf_dir), {"key_md5": "text_md5", **kept}),
-        ("norm", q_dedup_norm(sf_dir), {"key_md5": "norm_md5", **kept}),
-    ])
+    """Exact dedup and normalization-aware dedup as (method, key_md5,
+    keep_doc_id, n_dups) rows: per key, the min doc_id and the group
+    size.
+
+    - ``exact``: the content md5 of each document.
+    - ``norm``: the md5 after lowercase + whitespace collapse (the
+      C4/RefinedWeb first pass). The corpus is already lowercase and
+      single-spaced, so the input is augmented with deterministic
+      planted variants (doc_id < 25 -> doc_id + 300000, uppercased
+      with doubled spaces) that normalize back onto their originals.
+      The SQL twin plants the same variants, which makes the
+      normalizer the thing under test (25 collapsed groups).
+
+    One map emits both keys' (method, key_md5, doc_id) rows, and one
+    group_apply on (method, key_md5) runs the collapse: distinct keys
+    grow with the corpus, so only those rows shuffle, and one C-speed
+    pandas pass per sorted block replaces a per-group callback."""
+
+    def keys(df: pd.DataFrame) -> pd.DataFrame:
+        text, ids = df["text"].fillna(""), df["doc_id"].to_numpy(np.int64)
+        planted = ids < 25
+        variants = text[planted].str.upper().str.replace(" ", "  ", regex=False)
+        norm = (pd.concat([text, variants], ignore_index=True).str.lower()
+                .str.replace(r"[ ]+", " ", regex=True).str.strip(" "))
+        return pd.DataFrame({
+            "method": np.repeat(np.array(["exact", "norm"], dtype=object),
+                                [len(ids), len(norm)]),
+            "key_md5": np.concatenate([textfn.md5_hex(text), textfn.md5_hex(norm)]),
+            "doc_id": np.concatenate([ids, ids, ids[planted] + 300000]),
+        })
+
+    def collapse(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(["method", "key_md5"], sort=False)["doc_id"]
+        out = g.min().to_frame("keep_doc_id")
+        out["n_dups"] = g.size()
+        return out.reset_index()
+
+    hashed = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        keys, batch_format="pandas")
+    return group_apply(hashed, ["method", "key_md5"], collapse)
 
 
 SQL_DEDUP_SURFACE = f"""
@@ -3673,12 +3544,10 @@ FROM ({SQL_DEDUP_NORM})
 def q_ann_topk(sf_dir: str):
     """Brute-force cosine top-k + IVF-bucketed ANN tag-union (method,
     query_id, rank, vec_id); both members return bounded driver-side
-    merges, so a pandas concat is the union."""
-    a = q_ann_cosine(sf_dir).copy()
-    a.insert(0, "method", "brute")
-    b = q_ann_ivf(sf_dir).copy()
-    b.insert(0, "method", "ivf")
-    return pd.concat([a, b], ignore_index=True)
+    merges, so ``_tag_union`` concatenates two driver frames."""
+    cols = {"query_id": "query_id", "rank": "rank", "vec_id": "vec_id"}
+    return _tag_union("method", [("brute", q_ann_cosine(sf_dir), cols),
+                                 ("ivf", q_ann_ivf(sf_dir), cols)])
 
 
 SQL_ANN_TOPK = f"""

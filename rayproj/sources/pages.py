@@ -159,21 +159,19 @@ def ensure_pages_fixture() -> str:
     the DuckDB oracle read. A schema-metadata marker keys the content
     version so stale fixtures are rewritten."""
     import os
-    import tempfile
 
     import pyarrow.parquet as pq
+
+    from ..core.resources import publish
 
     try:
         md = pq.read_schema(PAGES_PATH).metadata or {}
         if md.get(b"rayproj_pages") == _PAGES_MARK:
             return PAGES_PATH
-    except Exception:
+    except (OSError, pa.ArrowInvalid):  # missing, unreadable or not parquet
         pass
     os.makedirs(PAGES_FIX_DIR, exist_ok=True)
     t = make_pages_block(PAGES_SEED, 0, PAGES_N)
     t = t.replace_schema_metadata({b"rayproj_pages": _PAGES_MARK})
-    fd, tmp = tempfile.mkstemp(dir=PAGES_FIX_DIR, suffix=".parquet")
-    os.close(fd)
-    pq.write_table(t, tmp)
-    os.replace(tmp, PAGES_PATH)
+    publish(PAGES_PATH, lambda tmp: pq.write_table(t, tmp))
     return PAGES_PATH

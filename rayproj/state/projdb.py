@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 import sqlite3
-import tempfile
+
+from ..core.resources import publish
 
 PROJDB_PATH = "/tmp/rayproj_fixtures/proj.db"
 SQL_DIR = os.environ.get("RAYPROJ_EPSG_SQL_DIR", "/root/reference/data/sql")
@@ -66,22 +67,22 @@ def ensure_proj_db() -> str:
     if not os.path.isdir(SQL_DIR):
         raise FileNotFoundError(f"EPSG SQL scripts not found at {SQL_DIR}")
     os.makedirs(os.path.dirname(PROJDB_PATH), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(PROJDB_PATH), suffix=".db")
-    os.close(fd)
-    os.unlink(tmp)
-    con = sqlite3.connect(tmp)
-    try:
-        con.executescript("PRAGMA journal_mode=OFF; PRAGMA synchronous=OFF;")
-        script = "\n".join(
-            open(os.path.join(SQL_DIR, f), encoding="utf-8").read()
-            for f in _SQL_ORDER
-        )
-        con.executescript(script)
-        con.execute(f"PRAGMA user_version = {_DB_VERSION}")
-        con.commit()
-    finally:
-        con.close()
-    os.replace(tmp, PROJDB_PATH)
+
+    def build(tmp: str) -> None:
+        con = sqlite3.connect(tmp)
+        try:
+            con.executescript("PRAGMA journal_mode=OFF; PRAGMA synchronous=OFF;")
+            script = "\n".join(
+                open(os.path.join(SQL_DIR, f), encoding="utf-8").read()
+                for f in _SQL_ORDER
+            )
+            con.executescript(script)
+            con.execute(f"PRAGMA user_version = {_DB_VERSION}")
+            con.commit()
+        finally:
+            con.close()
+
+    publish(PROJDB_PATH, build)
     return PROJDB_PATH
 
 

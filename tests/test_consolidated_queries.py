@@ -1,7 +1,11 @@
 """The round-5 consolidation merged per-operator queries into joined /
 tag-union driver rows. Where a member query is still a live function
-of its union, these tests pin that its output equals the tagged subset
-of the union. The orphan guard keeps every ``q_*`` reachable: each one
+of its union (``events_windows``' tumbling windows), a test pins that
+its output equals the tagged subset of the union. ``projections_fwd``,
+``events_joins``, ``dedup_surface`` and ``sampling`` compute all their
+members in one pass over their table, so they have no member function
+left; ``test_queries_oracle`` checks every tagged subset. The orphan
+guard keeps every ``q_*`` reachable: each one
 is registered in QUERIES or composed by another ``q_*``; the geolocate
 guard keeps one per-doc read + geolocate path (``_per_doc``); the
 top-k guard keeps one per-batch top-k kernel (``ann.topk_window``) and
@@ -31,17 +35,6 @@ def _df(res):
 
 def _sorted(df, by):
     return df.sort_values(by, kind="mergesort").reset_index(drop=True)
-
-
-def test_projections_fwd_union_matches_split_queries(ray_session):
-    merged = _df(q.q_projections_fwd(SF))
-    for name, split_fn in (("merc", q.q_merc_fwd), ("stere", q.q_stere_fwd)):
-        sub = _sorted(
-            merged[merged["proj"] == name][["doc_id", "x", "y"]], ["doc_id"])
-        split = _sorted(_df(split_fn(SF)), ["doc_id"])
-        assert len(sub) == len(split)
-        for c in ("x", "y"):
-            assert (sub[c].to_numpy() == split[c].to_numpy()).all(), (name, c)
 
 
 def test_events_windows_union_matches_split_queries(ray_session):

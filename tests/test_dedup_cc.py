@@ -60,13 +60,16 @@ def test_connected_components_ds_matches_driver(ray_session):
     expected = dedup.connected_components_min_label(pairs)
     exp = dict(zip(expected["node"], expected["label"]))
 
-    ds = rd.from_pandas(pairs)
-    got = dedup.connected_components_ds(ds).to_pandas()
+    lonely = 900  # a node with no edge is its own component
+    nodes = pd.DataFrame({"node": [*sorted(exp), lonely]}).astype("int64")
+    got = dedup.connected_components_ds(rd.from_pandas(pairs), rd.from_pandas(nodes))
+    got = got.to_pandas()
     gm = dict(zip(got["node"], got["label"]))
     for comp in comps:
         root = int(comp.min())
         for n in comp:
             assert gm[int(n)] == root, (n, gm.get(int(n)))
+    assert gm.pop(lonely) == lonely
     assert set(gm) == set(exp)
 
 
@@ -92,7 +95,9 @@ def test_cc_million_edge_graph(ray_session):
     edges = pd.DataFrame({"a": a, "b": b})
     assert len(edges) >= 1_000_000
     t0 = time.monotonic()
-    out = dedup.connected_components_ds(rd.from_pandas(edges)).to_pandas()
+    nodes = pd.DataFrame({"node": np.arange(comp * size, dtype=np.int64)})
+    out = dedup.connected_components_ds(rd.from_pandas(edges), rd.from_pandas(nodes))
+    out = out.to_pandas()
     elapsed = time.monotonic() - t0
     assert len(out) == comp * size
     out = out.sort_values("node").reset_index(drop=True)

@@ -7,6 +7,7 @@ import os
 import pyarrow.parquet as pq
 import pytest
 
+from rayproj.core.resources import publish
 from rayproj.pipelines.lineage import (LineageWriter, checkpointed_flagship,
                                        partitions, read_plan)
 
@@ -288,3 +289,33 @@ def test_directory_with_nested_files_is_refused(ray_session, tmp_path):
     with pytest.raises(ValueError, match=r"lang=en/part-0\.parquet"):
         checkpointed_flagship(str(src), out)
     assert not os.path.exists(out)
+
+
+def test_publish_replaces_target_in_one_rename(tmp_path):
+    """``publish`` writes beside its target and renames into place: a
+    ``write`` that raises leaves the target as it was and no temp file
+    in the directory; one that returns replaces it, with the mode a
+    plain ``open`` gives."""
+    target = tmp_path / "part=0.json"
+    target.write_text("old")
+
+    def write(text):
+        def fn(tmp):
+            with open(tmp, "w") as f:
+                f.write(text)
+            if text == "half":
+                raise RuntimeError("write failed")
+
+        return fn
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        publish(str(target), write("half"))
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["part=0.json"]
+
+    publish(str(target), write("new"))
+    assert target.read_text() == "new"
+    assert os.listdir(tmp_path) == ["part=0.json"]
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert target.stat().st_mode == plain.stat().st_mode  # the umask's mode

@@ -222,7 +222,8 @@ GROUPED = {
     "events_joins": "events", "sampling": "documents",
     "inverted_index": "documents", "token_quantiles": "documents",
     "embed_neardup": "embeddings", "simhash_neardup": "documents",
-    "dedup_clusters": "documents", "ngram_freq": "documents",
+    "dedup_clusters": "documents", "dedup_surface": "documents",
+    "ngram_freq": "documents",
     "top_orders": "orders", "tfidf_top": "documents",
 }
 

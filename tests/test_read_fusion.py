@@ -5,7 +5,8 @@ operator, and a directory of files reads with one fused task per file.
 The multimodal queries chain their stage maps into that one operator.
 Left to its default, Ray Data splits the read of a table with fewer
 files than twice the CPUs (``ReadParquet->SplitBlocks(k)``), and a
-split read never fuses."""
+split read never fuses. No execution of any query reads the same
+table twice."""
 
 import re
 
@@ -21,18 +22,32 @@ QUERY_MIX = ("spatial_assign", "zonal_stats", "grid_shift", "tile_stats",
 FUSED = re.compile(r"ReadParquet->MapBatches\(\w+\)")
 
 
-def _record_plans(monkeypatch) -> list:
-    """Each streaming execution's operator names, read first."""
+def _record_plans(monkeypatch, reads=None) -> list:
+    """Each streaming execution's operator names, every input before
+    the operator it feeds (so a chain reads first). When ``reads`` is a
+    list, each execution also appends to it the tables its read
+    operators read, one tuple of files per read."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     plans = []
     execute = StreamingExecutor.execute
 
     def recording(self, dag, *args, **kwargs):
-        ops = [dag]
-        while ops[-1].input_dependencies:
-            ops.append(ops[-1].input_dependencies[0])
-        plans.append([op.name for op in reversed(ops)])
+        ops, seen = [], set()
+
+        def visit(op):
+            if id(op) not in seen:
+                seen.add(id(op))
+                for dep in op.input_dependencies:
+                    visit(dep)
+                ops.append(op)
+
+        visit(dag)
+        plans.append([op.name for op in ops])
+        if reads is not None:  # the read's input buffer carries its Read op too
+            reads.append([tuple(logical._datasource._files) for op in ops
+                          if op.input_dependencies for logical in op._logical_operators
+                          if type(logical).__name__ == "Read"])
         return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", recording)
@@ -126,3 +141,19 @@ def test_kmeans_embed_runs_one_execution_per_pass(ray_session, sf_dir, monkeypat
     q.QUERIES["kmeans_embed"](sf_dir).to_pandas()
     assert len(plans) == 3, plans
     assert all(len(p) == 2 and FUSED.fullmatch(p[1]) for p in plans), plans
+
+
+@pytest.mark.parametrize("name", sorted(q.QUERIES))
+def test_no_execution_reads_a_table_twice(name, ray_session, sf_dir, monkeypatch):
+    """A query's members share one read of each table they use: no Ray
+    Data execution plans two reads of the same files. A family whose
+    members stay separate pipelines joined by ``Dataset.union`` reads
+    its table once per member."""
+    reads = []
+    _record_plans(monkeypatch, reads)
+    result = q.QUERIES[name](sf_dir)
+    if isinstance(result, rd.Dataset):
+        result.to_pandas()
+    assert reads, "no execution ran"
+    for tables in reads:
+        assert len(tables) == len(set(tables)), tables

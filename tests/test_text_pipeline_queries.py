@@ -14,7 +14,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from rayproj.pipelines.queries import (
-    q_dedup_norm,
+    q_dedup_surface,
     q_doc_metrics,
     q_paragraph_dedup,
 )
@@ -46,7 +46,8 @@ def test_gopher_repetition_nonvacuous(ray_session):
 
 
 def test_dedup_norm_collapses_planted_variants(ray_session):
-    df = q_dedup_norm(SF_DIR).to_pandas()
+    df = q_dedup_surface(SF_DIR).to_pandas()
+    df = df[df["method"] == "norm"]
     # 25 planted variants (upper + doubled spaces) normalize back onto
     # their originals: exactly 25 groups of size 2, keeper = original id
     pairs = df[df["n_dups"] == 2]
